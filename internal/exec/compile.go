@@ -124,7 +124,15 @@
 // jobs run concurrently on a small worker pool. Shard results merge in
 // shard order before the join, so execution is deterministic for a
 // given store. Propagated IN-lists larger than MaxPropagatedIDs are
-// dropped and counted in Stats.PropagationsSkipped.
+// dropped and counted in Stats.PropagationsSkipped. Within one SQL
+// fetch, relstore drives the events binding from whichever is smallest:
+// its own access path (the optype bucket, a propagated ID set) or a
+// semi-join reduction through a subject/object filter — the entities
+// matching `s.exename LIKE '%curl%'`, answered from the column's
+// hash-index dictionary, mapped to their events through the srcid/dstid
+// index. A substring-filtered CTI pattern thus fetches the handful of
+// events its endpoints can match instead of joining and discarding the
+// whole optype bucket; rows and their order are unchanged.
 //
 // Join. The fetched rows are joined by a streaming hash join
 // (stream.go). Bindings are slot-based: tbql.Analyze assigns dense

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -19,6 +20,9 @@ type ExecStats struct {
 	IndexLookups  int // candidate sets served by an index
 	FullScans     int // candidate sets served by a full table scan
 	TuplesEmitted int // result rows before distinct/order/limit
+	// SemiJoinDrives counts executions whose driving binding enumerated a
+	// semi-join reduction instead of its own access path's candidates.
+	SemiJoinDrives int
 }
 
 // Query parses and executes a SELECT statement against the database.
@@ -91,6 +95,9 @@ type Stmt struct {
 	conjs   []conjunct
 	conjsAt [][]int      // conjsAt[level] lists conjunct indexes with maxRef == level
 	plans   []accessPlan // per-level access path
+	// semis are the semi-join reductions the driving binding (level 0)
+	// may enumerate instead of plans[0]'s candidates.
+	semis   []semiJoin
 	project []resolvedCol
 	// orderKeys are the projected positions of the ORDER BY keys,
 	// resolved at prepare time.
@@ -146,6 +153,31 @@ type accessPlan struct {
 	// range bounds.
 	lo, hi       *Value
 	loInc, hiInc bool
+}
+
+// semiJoin reduces the driving binding (level 0) through a later
+// binding joined back to it by an equi-join on two INT columns (e.srcid
+// = s.id): the later binding's rows are resolved from an indexed
+// conjunct, filtered by all its single-binding conjuncts, and their join
+// values probe level 0's hash index on its join column. Only level-0
+// rows found that way can extend to a result tuple.
+type semiJoin struct {
+	bind     int // the reducing binding
+	col      int // its join column
+	driveCol int // level 0's join column
+	// drivers are bind's indexable conjuncts: equality literals first
+	// (a bucket probe), then LIKE literals (a dictionary scan).
+	drivers []semiDriver
+	// filters are the conjuncts that reference bind alone.
+	filters []int
+}
+
+// semiDriver is one indexable conjunct `col = literal` or
+// `col LIKE literal`.
+type semiDriver struct {
+	col  int
+	like bool
+	key  string // equality: the literal's index key; LIKE: the pattern
 }
 
 type resolvedRef struct {
@@ -283,6 +315,7 @@ func (st *Stmt) compile() error {
 	for level := range st.binds {
 		st.plans[level] = st.planLevel(level)
 	}
+	st.semis = st.planSemiJoins()
 	return nil
 }
 
@@ -564,6 +597,9 @@ func (rt *stmtRun) join(level int, tuple []int) error {
 	if err != nil {
 		return err
 	}
+	if level == 0 {
+		cands = rt.semiJoinDrive(cands, tuple)
+	}
 	min := 0
 	if rt.minRows != nil {
 		min = rt.minRows[level]
@@ -596,7 +632,11 @@ func (rt *stmtRun) join(level int, tuple []int) error {
 
 // planLevel picks the most selective access path for the table at level
 // (chosen once per prepared statement; equi-join and parameter-set
-// lookups read their values at run time).
+// lookups read their values at run time). At level 0 the path is only
+// the default: at run time a semi-join reduction (planSemiJoins) drives
+// the level instead when it yields fewer rows, so a selective filter on
+// a later binding — `s.exename LIKE '%curl%'` — narrows the events
+// enumerated rather than being tested once per joined event.
 func (st *Stmt) planLevel(level int) accessPlan {
 	// 1. Equi-join with an already-bound table: the per-tuple lookup
 	// value makes this far more selective than a constant predicate
@@ -690,9 +730,9 @@ func (rt *stmtRun) candidates(level int, tuple []int) ([]int, error) {
 			var ids []int
 			var ok bool
 			if rt.view != nil {
-				ids, ok = t.lookupEqIntsView(plan.col, set.ids, rows)
+				ids, ok = t.lookupEqIntsView(plan.col, set.ids, rows, 0)
 			} else {
-				ids, ok = t.lookupEqInts(plan.col, set.ids)
+				ids, ok = t.lookupEqInts(plan.col, set.ids, 0)
 			}
 			if ok {
 				rt.stats.IndexLookups++
@@ -757,6 +797,153 @@ func (rt *stmtRun) candidates(level int, tuple []int) ([]int, error) {
 	}
 }
 
+// planSemiJoins derives the semi-join reductions of the driving binding:
+// one per later binding whose access plan is an equi-join on two INT
+// columns back to level 0 and which has an indexable driver conjunct —
+// an equality literal of its column's type, or a non-negated
+// `col LIKE literal`. Reductions are planned only when level 0's own
+// path enumerates, in ascending row order, a superset of the rows its
+// conjuncts accept, so driving the level from a reduction instead skips
+// only rows that cannot join: not for an ordered-index range (value
+// order), nor for an equality literal of another type than its column
+// (the hash probe misses rows the comparison would coerce).
+func (st *Stmt) planSemiJoins() []semiJoin {
+	// A NULL literal's bucket is a superset of the no rows `= NULL` accepts.
+	if p := st.plans[0]; p.kind == 'r' || (p.kind == 'l' && !p.lit.IsNull() && p.lit.Kind != st.colType(0, p.col)) {
+		return nil
+	}
+	var out []semiJoin
+	for b := 1; b < len(st.binds); b++ {
+		p := st.plans[b]
+		if p.kind != 'j' || p.otherBind != 0 ||
+			st.colType(b, p.col) != TypeInt || st.colType(0, p.otherCol) != TypeInt {
+			continue
+		}
+		sj := semiJoin{bind: b, col: p.col, driveCol: p.otherCol}
+		var likes []semiDriver
+		for ci, c := range st.conjs {
+			if len(c.refs) != 1 || !c.refs[b] {
+				continue
+			}
+			sj.filters = append(sj.filters, ci)
+			if col, lit, ok := st.eqLiteral(c.expr, b); ok && lit.Kind == st.colType(b, col) {
+				sj.drivers = append(sj.drivers, semiDriver{col: col, key: lit.key()})
+			} else if col, pattern, ok := st.likeLiteral(c.expr, b); ok {
+				likes = append(likes, semiDriver{col: col, like: true, key: pattern})
+			}
+		}
+		sj.drivers = append(sj.drivers, likes...)
+		if len(sj.drivers) > 0 {
+			out = append(out, sj)
+		}
+	}
+	return out
+}
+
+// colType is the declared type of a binding's column.
+func (st *Stmt) colType(bind, col int) ColType {
+	return st.binds[bind].table.schema.Columns[col].Type
+}
+
+// semiJoinDrive returns the rows level 0 enumerates: its own access
+// path's candidates, or the smallest semi-join reduction when one is
+// smaller. Two caps keep a reduction from costing more than it saves: a
+// driver is used only when its rows are fewer than the current best
+// candidate count, and a LIKE dictionary is scanned only when it has
+// fewer distinct keys than that count. The candidates are trimmed to a
+// Since watermark first, so a delta fetch compares against its delta,
+// not the whole bucket. Every choice is ascending row ids, so results,
+// their order, and LIMIT or row-cap early termination are unchanged.
+func (rt *stmtRun) semiJoinDrive(cands, tuple []int) []int {
+	if len(rt.st.semis) == 0 {
+		return cands
+	}
+	if rt.minRows != nil && rt.minRows[0] > 0 {
+		cands = cands[sort.SearchInts(cands, rt.minRows[0]):]
+	}
+	drove := false
+	for _, sj := range rt.st.semis {
+		if ids, ok := rt.reduce(sj, len(cands), tuple); ok {
+			cands, drove = ids, true
+		}
+	}
+	if drove {
+		rt.stats.SemiJoinDrives++
+	}
+	return cands
+}
+
+// reduce evaluates one semi-join reduction, reporting ok only when it
+// yields fewer than best level-0 rows. tuple is scratch: sj.bind's slot
+// is overwritten while its conjuncts filter the driver's rows.
+func (rt *stmtRun) reduce(sj semiJoin, best int, tuple []int) ([]int, bool) {
+	var rows []int
+	limit := best
+	for _, d := range sj.drivers {
+		if got, ok := rt.driverRows(sj.bind, d, limit); ok && len(got) < limit {
+			rows, limit = got, len(got)
+		}
+	}
+	if limit == best {
+		return nil, false
+	}
+	st := rt.st
+	min := 0
+	if rt.minRows != nil {
+		min = rt.minRows[sj.bind]
+	}
+	vals := make([]int64, 0, len(rows))
+	for _, rid := range rows {
+		if rid < min {
+			continue
+		}
+		tuple[sj.bind] = rid
+		ok := true
+		for _, ci := range sj.filters {
+			if !st.conjs[ci].fn(rt, tuple) {
+				ok = false
+				break
+			}
+		}
+		// A NULL join value never satisfies the equi-join.
+		if v := rt.rows[sj.bind][rid][sj.col]; ok && v.Kind == TypeInt {
+			vals = append(vals, v.Int)
+		}
+	}
+	slices.Sort(vals)
+	var ids []int
+	var ok bool
+	if rt.view != nil {
+		ids, ok = rt.tables[0].lookupEqIntsView(sj.driveCol, vals, rt.rows[0], best)
+	} else {
+		ids, ok = rt.tables[0].lookupEqInts(sj.driveCol, vals, best)
+	}
+	if !ok {
+		return nil, false
+	}
+	if rt.minRows != nil && rt.minRows[0] > 0 {
+		ids = ids[sort.SearchInts(ids, rt.minRows[0]):]
+	}
+	return ids, true
+}
+
+// driverRows resolves a semi-join driver's rows from binding bind's hash
+// index, or reports !ok when the column has no hash index or (for LIKE)
+// the dictionary or its answer is not smaller than max. A locked
+// statement already holds every bound table's read lock; a view
+// execution takes it for the probe alone, as lookupEqView does.
+func (rt *stmtRun) driverRows(bind int, d semiDriver, max int) ([]int, bool) {
+	t, rowLimit := rt.tables[bind], len(rt.rows[bind])
+	if rt.view != nil {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+	}
+	if d.like {
+		return t.lookupLike(d.col, d.key, rowLimit, max)
+	}
+	return t.hashBucket(d.col, d.key, rowLimit)
+}
+
 // lookupEq dispatches an equality lookup to the locked or epoch-view
 // variant, per how this execution reads its tables.
 func (rt *stmtRun) lookupEq(level, ci int, v Value) ([]int, bool) {
@@ -794,6 +981,25 @@ func (st *Stmt) eqLiteral(e Expr, level int) (col int, lit Value, ok bool) {
 		return 0, Value{}, false
 	}
 	return ci, le.V, true
+}
+
+// likeLiteral matches a non-negated `col LIKE literal` on the given
+// binding, returning the pattern as the row-wise LIKE renders it.
+func (st *Stmt) likeLiteral(e Expr, level int) (col int, pattern string, ok bool) {
+	cmp, isCmp := e.(CmpExpr)
+	if !isCmp || cmp.Op != "like" || cmp.Neg {
+		return 0, "", false
+	}
+	ce, okc := cmp.L.(ColExpr)
+	le, okl := cmp.R.(LitExpr)
+	if !okc || !okl {
+		return 0, "", false
+	}
+	bi, ci, err := st.resolveCol(ce.Ref)
+	if err != nil || bi != level {
+		return 0, "", false
+	}
+	return ci, le.V.String(), true
 }
 
 // eqJoin matches `a.col = b.col` where one side is the given binding.

@@ -228,17 +228,10 @@ func (t *Table) ViewRows() [][]Value {
 // reader paging an epoch never blocks writers for longer than that.
 func (t *Table) lookupEqView(ci int, v Value, rows [][]Value) ([]int, bool) {
 	t.mu.RLock()
-	idx, ok := t.hashIdx[ci]
-	var ids []int
-	if ok {
-		ids = idx[v.key()]
-	}
+	ids, ok := t.hashBucket(ci, v.key(), len(rows))
 	t.mu.RUnlock()
 	if ok {
-		// Bucket ids are appended in ascending row order, so the view's
-		// watermark is a prefix cut.
-		cut := sort.SearchInts(ids, len(rows))
-		return ids[:cut:cut], true
+		return ids, true
 	}
 	var out []int
 	for rid, row := range rows {
@@ -315,13 +308,33 @@ func (t *Table) orderedRange(ids []int, ci int, lo, hi *Value, loInc, hiInc bool
 // briefly held read lock, returning the matching row ids in ascending
 // order, cut at the view's watermark. ok is false when the column has
 // no hash index — callers fall back to a set-filtered scan rather than
-// paying a per-ID table scan. This is the bulk access path behind
-// bound ID-set parameters (propagated entity constraints).
-func (t *Table) lookupEqIntsView(ci int, ids []int64, rows [][]Value) ([]int, bool) {
+// paying a per-ID table scan — or when max > 0 and the answer reaches
+// max rows, which bounds the work of a probe whose result the caller
+// would discard as not selective enough. This is the bulk access path
+// behind bound ID-set parameters (propagated entity constraints) and
+// semi-join reductions.
+func (t *Table) lookupEqIntsView(ci int, ids []int64, rows [][]Value, max int) ([]int, bool) {
 	t.mu.RLock()
+	out, ok := t.probeInts(ci, ids, len(rows), max)
+	t.mu.RUnlock()
+	sort.Ints(out)
+	return out, ok
+}
+
+// lookupEqInts is lookupEqIntsView for a locked statement: the caller
+// holds the read side of mu for the whole statement, so the probes read
+// the live index directly.
+func (t *Table) lookupEqInts(ci int, ids []int64, max int) ([]int, bool) {
+	out, ok := t.probeInts(ci, ids, len(t.rows), max)
+	sort.Ints(out)
+	return out, ok
+}
+
+// probeInts is the shared probe loop of lookupEqInts(View): the matching
+// row ids below rowLimit, unsorted. The caller holds the read side of mu.
+func (t *Table) probeInts(ci int, ids []int64, rowLimit, max int) ([]int, bool) {
 	idx, ok := t.hashIdx[ci]
 	if !ok {
-		t.mu.RUnlock()
 		return nil, false
 	}
 	var out []int
@@ -339,35 +352,59 @@ func (t *Table) lookupEqIntsView(ci int, ids []int64, rows [][]Value) ([]int, bo
 		key = append(key[:0], 'i')
 		key = strconv.AppendInt(key, id, 10)
 		got := idx[string(key)]
-		// Bucket ids are appended in ascending row order, so the view's
+		// Bucket ids are appended in ascending row order, so a view's
 		// watermark is a prefix cut.
-		cut := sort.SearchInts(got, len(rows))
+		cut := sort.SearchInts(got, rowLimit)
 		out = append(out, got[:cut]...)
+		if max > 0 && len(out) >= max {
+			return nil, false
+		}
 	}
-	t.mu.RUnlock()
-	sort.Ints(out)
 	return out, true
 }
 
-// lookupEqInts is lookupEqIntsView for a locked statement: the caller
-// holds the read side of mu for the whole statement, so the probes read
-// the live index directly with no watermark cut.
-func (t *Table) lookupEqInts(ci int, ids []int64) ([]int, bool) {
+// hashBucket returns the row ids below rowLimit in column ci's hash-index
+// bucket for the index key k, in ascending order; ok is false when the
+// column has no hash index. The caller holds the read side of mu. The
+// result aliases the bucket's prefix, which stays valid after the lock
+// is released: writers only append to buckets.
+func (t *Table) hashBucket(ci int, k string, rowLimit int) ([]int, bool) {
 	idx, ok := t.hashIdx[ci]
 	if !ok {
 		return nil, false
 	}
+	ids := idx[k]
+	// Bucket ids are appended in ascending row order, so a view's
+	// watermark is a prefix cut.
+	cut := sort.SearchInts(ids, rowLimit)
+	return ids[:cut:cut], true
+}
+
+// lookupLike answers `col LIKE pattern` for column ci from its hash-index
+// dictionary: likeMatch runs once per distinct key, not once per row, and
+// the row ids below rowLimit of every matching bucket are returned in no
+// particular order. A key's keyString is exactly the Value.String the
+// row-wise LIKE matches, so NULLs ("NULL") and int columns (their digits)
+// answer as they would row by row. ok is false when the column has no
+// hash index, when the dictionary has max or more distinct keys, or when
+// the answer reaches max rows: the caller has a cheaper way to the rows
+// then. The caller holds the read side of mu.
+func (t *Table) lookupLike(ci int, pattern string, rowLimit, max int) ([]int, bool) {
+	idx, ok := t.hashIdx[ci]
+	if !ok || len(idx) >= max {
+		return nil, false
+	}
 	var out []int
-	key := make([]byte, 0, 24)
-	for i, id := range ids {
-		if i > 0 && ids[i-1] == id { // ids ascending; skip duplicates
+	for k, ids := range idx {
+		if !likeMatch(keyString(k), pattern) {
 			continue
 		}
-		key = append(key[:0], 'i')
-		key = strconv.AppendInt(key, id, 10)
-		out = append(out, idx[string(key)]...)
+		cut := sort.SearchInts(ids, rowLimit)
+		out = append(out, ids[:cut]...)
+		if len(out) >= max {
+			return nil, false
+		}
 	}
-	sort.Ints(out)
 	return out, true
 }
 

@@ -11,6 +11,26 @@
 //
 // with AND/OR/NOT, comparison operators, LIKE (with % and _ wildcards),
 // and IN lists in expressions.
+//
+// Execution is an index nested-loop join in FROM/JOIN order: each
+// binding's candidate rows come from its most selective access path
+// (planLevel), and every conjunct is tested as soon as its bindings are
+// bound. The first binding — the events table in the engine's data
+// queries — has a second kind of access path at run time, the semi-join
+// reduction: a later binding joined back to it on an INT equi-join
+// (e.srcid = s.id) resolves its own rows from an indexed conjunct — an
+// equality literal's hash bucket, or `col LIKE 'literal'` answered by
+// matching the pattern once per distinct key of the column's hash index
+// rather than once per row — filters them, and probes the first
+// binding's join-column index with their join values. The first binding
+// then enumerates the smallest of its own candidates and each
+// reduction. Two caps keep the reduction from costing more than it
+// saves: a driver is used only when it yields fewer rows than the
+// current best candidate count, and a LIKE dictionary is scanned only
+// when it has fewer distinct keys than that count (counted after a
+// Since watermark trims the candidates). Candidates stay in ascending
+// row order either way, so results, their order and early termination
+// are unchanged (ExecStats.SemiJoinDrives counts the reductions taken).
 package relstore
 
 import (
@@ -98,6 +118,14 @@ func (v Value) key() string {
 	default:
 		return "n"
 	}
+}
+
+// keyString is the Value.String rendering of the value whose key is k.
+func keyString(k string) string {
+	if k == "n" {
+		return "NULL"
+	}
+	return k[1:]
 }
 
 // Compare orders two values. NULL sorts before everything; ints compare

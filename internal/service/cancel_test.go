@@ -386,8 +386,8 @@ func TestServerCloseAbortsWebhookBackoff(t *testing.T) {
 
 // TestCancellationStorm hammers the hunt surface with cancelled,
 // timed-out, and completed hunts, then proves nothing leaked: every
-// epoch pin is released once the cursors are closed, and the goroutine
-// count returns to its baseline.
+// epoch pin is released once the cursors are closed or expired, and the
+// goroutine count returns to its baseline.
 func TestCancellationStorm(t *testing.T) {
 	srv, ts := newCancelServer(t, threatraptor.Options{}, Config{})
 	client := &http.Client{}
@@ -396,6 +396,11 @@ func TestCancellationStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var mu sync.Mutex
 	var cursorIDs []string
+	// clientErrors counts requests the client gave up on. A hunt can
+	// complete server-side just as its client's timeout fires, so it
+	// registers a cursor whose id nobody reads: at most one orphan per
+	// such request, reclaimed only by the idle TTL.
+	var clientErrors int
 	var wg sync.WaitGroup
 	for i := 0; i < 120; i++ {
 		delay := time.Duration(rng.Intn(2000)) * time.Microsecond
@@ -415,10 +420,20 @@ func TestCancellationStorm(t *testing.T) {
 			}
 			resp, err := client.Do(req)
 			if err != nil {
-				return // cancelled mid-flight: the expected common case
+				// Cancelled mid-flight: the expected common case.
+				mu.Lock()
+				clientErrors++
+				mu.Unlock()
+				return
 			}
 			defer resp.Body.Close()
-			body, _ := io.ReadAll(resp.Body)
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				mu.Lock()
+				clientErrors++
+				mu.Unlock()
+				return
+			}
 			var hr HuntResponse
 			if json.Unmarshal(body, &hr) == nil && hr.CursorID != "" {
 				mu.Lock()
@@ -437,8 +452,33 @@ func TestCancellationStorm(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
+	// Wait out handlers still finishing requests their clients already
+	// abandoned: a handler registers its cursor before it leaves the
+	// in-flight set.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.inflightMu.Lock()
+		n := len(srv.inflight)
+		srv.inflightMu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d executions still in flight after the storm", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := srv.cursors.open(); n > clientErrors {
+		t.Fatalf("%d cursors still open after closing the known ones; only %d requests errored client-side",
+			n, clientErrors)
+	}
+	// The orphans expire like any idle cursor: once the clock passes the
+	// TTL, a sweep must close them and release their pins.
+	expired := time.Now().Add(srv.cursors.ttl + time.Minute)
+	srv.cursors.now = func() time.Time { return expired }
+	srv.cursors.sweep()
 	if n := srv.cursors.open(); n != 0 {
-		t.Fatalf("%d cursors still open after the storm", n)
+		t.Fatalf("%d cursors still open after the storm and a TTL sweep", n)
 	}
 	if n := srv.cursors.reg.Pinned(); n != 0 {
 		t.Fatalf("%d epochs still pinned after the storm — cancellation leaked pins", n)
@@ -446,7 +486,7 @@ func TestCancellationStorm(t *testing.T) {
 
 	// Cancelled requests must not leak goroutines. Allow scheduler noise
 	// plus idle keep-alive connections still draining.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		if n := runtime.NumGoroutine(); n <= baselineGoroutines+10 {
