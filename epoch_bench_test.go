@@ -67,7 +67,7 @@ return p, f`
 				// the timed ingest.
 				open := make([]*Cursor, 0, cfg.cursors)
 				for c := 0; c < cfg.cursors; c++ {
-					cur, err := sys.HuntCursor(wide)
+					cur, err := huntCursor(sys, wide)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -77,7 +77,7 @@ return p, f, g`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps, err := sys.Explain(q)
+	eps, err := sys.Explain(nil, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestExecuteCursorPreCancelled(t *testing.T) {
 	en := leakageEngine(t, 200)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := en.ExecuteCursorCtx(ctx, parseTBQL(t, crossTBQL), 0, nil)
+	_, err := en.ExecuteCursor(ctx, parseTBQL(t, crossTBQL), 0, nil)
 	if !errors.Is(err, ErrHuntCancelled) {
 		t.Fatalf("err = %v, want ErrHuntCancelled", err)
 	}
@@ -55,7 +55,7 @@ func TestExecuteCursorExpiredDeadline(t *testing.T) {
 	en := leakageEngine(t, 200)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	_, err := en.ExecuteCursorCtx(ctx, parseTBQL(t, crossTBQL), 0, nil)
+	_, err := en.ExecuteCursor(ctx, parseTBQL(t, crossTBQL), 0, nil)
 	if !errors.Is(err, ErrHuntDeadline) {
 		t.Fatalf("err = %v, want ErrHuntDeadline", err)
 	}
@@ -72,7 +72,7 @@ func TestCursorCancelMidIterationResumes(t *testing.T) {
 	en := leakageEngine(t, 200)
 
 	// Reference: the full row set without interruption.
-	ref, err := en.ExecuteCursor(parseTBQL(t, crossTBQL))
+	ref, err := en.ExecuteCursor(nil, parseTBQL(t, crossTBQL), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCursorCancelMidIterationResumes(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cur, err := en.ExecuteCursorCtx(ctx, parseTBQL(t, crossTBQL), 0, nil)
+	cur, err := en.ExecuteCursor(ctx, parseTBQL(t, crossTBQL), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCursorCancelMidIterationResumes(t *testing.T) {
 func TestCursorJoinBudget(t *testing.T) {
 	en := leakageEngine(t, 200)
 	en.MaxJoinRows = 1
-	cur, err := en.ExecuteCursor(parseTBQL(t, crossTBQL))
+	cur, err := en.ExecuteCursor(nil, parseTBQL(t, crossTBQL), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,32 +154,11 @@ func TestCursorJoinBudget(t *testing.T) {
 	}
 }
 
-func TestNaiveJoinBudget(t *testing.T) {
-	en := leakageEngine(t, 200)
-	en.UseNaiveJoin = true
-	en.MaxJoinRows = 1
-	_, err := en.ExecuteCursor(parseTBQL(t, crossTBQL))
-	if !errors.Is(err, ErrJoinBudget) {
-		t.Fatalf("err = %v, want ErrJoinBudget", err)
-	}
-}
-
-func TestNaiveJoinPreCancelled(t *testing.T) {
-	en := leakageEngine(t, 200)
-	en.UseNaiveJoin = true
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := en.ExecuteCursorCtx(ctx, parseTBQL(t, crossTBQL), 0, nil)
-	if !errors.Is(err, ErrHuntCancelled) {
-		t.Fatalf("err = %v, want ErrHuntCancelled", err)
-	}
-}
-
 func TestExplainTraceCtxCancelled(t *testing.T) {
 	en := leakageEngine(t, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := en.ExplainTraceCtx(ctx, parseTBQL(t, crossTBQL), nil)
+	_, err := en.Explain(ctx, parseTBQL(t, crossTBQL), nil)
 	if !errors.Is(err, ErrHuntCancelled) {
 		t.Fatalf("err = %v, want ErrHuntCancelled", err)
 	}

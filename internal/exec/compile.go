@@ -24,11 +24,17 @@
 // overflow it. A bounded LRU PlanCache keyed by the pattern's TBQL
 // normal form persists plans across hunts, so the dominant service
 // workload — the same hunts re-executed — skips compile and parse
-// entirely (Stats.PlanCacheHits/Misses). The legacy text pipeline
-// survives behind Engine.UseTextCompile as the equivalence baseline
-// (TestPreparedMatchesTextCompile); Stats.DataQueries is rendered
-// lazily from the plan refs only when a caller actually asks
-// (Cursor.DataQueries, Execute, /explain), never on the hot hunt path.
+// entirely (Stats.PlanCacheHits/Misses). Stats.DataQueries is
+// rendered lazily from the plan refs, with the bound sets spelled out
+// as IN-lists, only when a caller actually asks (Cursor.DataQueries,
+// Execute), never on the hot hunt path.
+//
+// There is one execution pipeline. Its correctness baseline lives in
+// the tests: reference_test.go runs each pattern's rendered SQL/Cypher
+// text on every shard and joins the rows by nested loops, with no
+// propagation, pruning, plans, cost order, or fetch cap, and the
+// equivalence suites (TestPreparedMatchesReference,
+// TestStreamingJoinMatchesReference) hold every configuration to it.
 //
 // # Cost-based scheduling
 //
@@ -75,16 +81,16 @@
 // fetch span, the hunt's plan-cache hits/misses), and first_row — the
 // lazy join's time to its first surfaced row. Later rows are not timed
 // individually. Callers that traced earlier stages themselves (the
-// daemon adds parse and page spans) pass their trace through
-// ExecuteCursorTrace and read the combined tree from Cursor.Trace;
+// daemon adds parse and page spans) pass their trace to
+// ExecuteCursor and read the combined tree from Cursor.Trace;
 // Engine.DisableTracing turns the default recording off
 // (BenchmarkHuntRepeatedNoTrace measures the difference, held under 5%).
 //
 // # Query lifecycle governance
 //
-// Every execution path takes a context.Context (ExecuteCursorCtx,
-// ExplainTraceCtx, StandingHunt.AdvanceContext; the context-free
-// variants delegate with context.Background()). Cancellation is
+// Every execution path takes a context.Context (ExecuteCursor and
+// Explain, where nil never cancels; StandingHunt.AdvanceContext, which
+// Advance calls with context.Background()). Cancellation is
 // observed at every fetch-wave boundary and, inside the streaming
 // join, every joinCheckEvery (1024) candidate rows — cheap enough
 // that the checks cost under 3% on the warm repeat hunt
@@ -145,9 +151,7 @@
 // depth-first iterator wired into Cursor.Next: row N+1 is produced
 // without computing row N+2, so a paginated hunt (or any early
 // termination) does page-sized work regardless of the total match
-// count. Execute is a drain of the same streaming path; the legacy
-// materializing nested-loop join survives behind Engine.UseNaiveJoin as
-// the correctness baseline for the equivalence property tests.
+// count. Execute is a drain of the same streaming path.
 package exec
 
 import (
@@ -268,7 +272,7 @@ func compileCypher(pat *tbql.EventPattern, extra []string, maxHopCap int) string
 }
 
 // compileCypherWin is compileCypher with the window bounds rendered as
-// the given operand strings — literals for the text pipeline, `$k`
+// the given operand strings — literals for rendered data queries, `$k`
 // placeholders for prepared plan templates, where the bounds are bound
 // as scalar parameters at execution time.
 func compileCypherWin(pat *tbql.EventPattern, extra []string, maxHopCap int, winFrom, winTo string) string {

@@ -94,11 +94,11 @@ func TestSkewedCostEquivalence(t *testing.T) {
 		b.WriteString("return distinct " + strings.Join(ret, ", "))
 		src := b.String()
 
-		cres, err := cost.ExecuteTBQL(src)
+		cres, err := runTBQL(cost, src)
 		if err != nil {
 			t.Fatalf("case %d cost: %v\n%s", i, err, src)
 		}
-		sres, err := static.ExecuteTBQL(src)
+		sres, err := runTBQL(static, src)
 		if err != nil {
 			t.Fatalf("case %d static: %v\n%s", i, err, src)
 		}
@@ -145,7 +145,7 @@ func TestSkewedAnchorsRareOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps, err := cost.Explain(q)
+	eps, err := cost.Explain(nil, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestSkewedAnchorsRareOp(t *testing.T) {
 		t.Errorf("anchor estimate %d is not below %d", eps[0].EstRows, eps[1].EstRows)
 	}
 
-	cres, err := cost.ExecuteTBQL(skewedReorderTBQL)
+	cres, err := runTBQL(cost, skewedReorderTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := static.ExecuteTBQL(skewedReorderTBQL)
+	sres, err := runTBQL(static, skewedReorderTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func BenchmarkHuntSkewed(b *testing.B) {
 				b.ReportAllocs()
 				fetched := 0
 				for i := 0; i < b.N; i++ {
-					cur, err := en.ExecuteTBQLCursorLimit(bench.query, pageSize+1)
+					cur, err := openTBQL(en, bench.query, pageSize+1)
 					if err != nil {
 						b.Fatal(err)
 					}

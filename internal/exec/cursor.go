@@ -46,14 +46,10 @@ type Cursor struct {
 	// snapshot on first Next); the fetched rows are already materialized.
 	view *storeView
 
-	// stream is the lazy hash-join iterator (default path).
+	// stream is the lazy hash-join iterator.
 	stream *matchStream
-	// naive holds pre-materialized matches when the engine ran the
-	// legacy nested-loop join (Engine.UseNaiveJoin); npos iterates it.
-	naive []Match
-	npos  int
 
-	// projSlots maps each return item to its entity slot (stream path).
+	// projSlots maps each return item to its entity slot.
 	projSlots []int
 	attrs     *attrCache
 	distinct  bool
@@ -86,52 +82,37 @@ type Cursor struct {
 }
 
 // ExecuteCursor runs an analyzed TBQL query and returns a cursor over
-// the projected rows. The data-query (fetch) phase runs eagerly against
-// a freshly captured epoch snapshot — so compile and backend errors
-// surface here — but the join is lazy: match generation happens inside
-// Next. The cursor keeps the snapshot pinned until it is closed or
-// exhausted; because the snapshot is an append watermark, not a lock,
-// holding it open costs writers nothing.
-func (en *Engine) ExecuteCursor(q *tbql.Query) (*Cursor, error) {
-	return en.executeCursor(nil, q, 0, nil)
-}
-
-// ExecuteCursorLimit is ExecuteCursor with a row-need bound: the caller
-// promises it will read at most limit rows from the cursor (0 = no
-// bound). When the query shape makes it safe (fetchCapSafe), the bound
-// is pushed into the per-shard data queries as a fetch-side row cap, so
-// a first-page hunt over a huge table fetches page-scaled rows instead
-// of materializing the whole table. A capped cursor's Stats report
-// FetchCapped; reading it past limit rows yields a truncated result,
-// so callers must not page beyond their promise.
-func (en *Engine) ExecuteCursorLimit(q *tbql.Query, limit int) (*Cursor, error) {
-	return en.executeCursor(nil, q, limit, nil)
-}
-
-// ExecuteCursorTrace is ExecuteCursorLimit recording the pipeline
-// stages into tr, so a caller that already traced earlier stages
-// (parse, cache lookups) hands the same trace down and gets one
-// contiguous span tree back from Cursor.Trace. A nil tr falls back to
-// the engine's default (trace unless DisableTracing).
-func (en *Engine) ExecuteCursorTrace(q *tbql.Query, limit int, tr *obs.Trace) (*Cursor, error) {
-	return en.executeCursor(nil, q, limit, tr)
-}
-
-// ExecuteCursorCtx is ExecuteCursorTrace under a lifecycle context: the
-// fetch waves poll ctx at every wave boundary and shard-job start, and
+// the projected rows: snapshot, cost-based (or static) scheduling,
+// fetch, and lazy-join cursor construction. The data-query (fetch)
+// phase runs eagerly against a freshly captured epoch snapshot — so
+// compile and backend errors surface here — but the join is lazy:
+// match generation happens inside Next. The cursor keeps the snapshot
+// pinned until it is closed or exhausted; because the snapshot is an
+// append watermark, not a lock, holding it open costs writers nothing.
+//
+// ctx is the hunt's lifecycle context (nil = never cancelled): the
+// fetch waves poll it at every wave boundary and shard-job start, and
 // the lazy join polls it at Next entry plus every joinCheckEvery
 // candidates, so cancelling ctx aborts the hunt within a bounded amount
 // of join work. A cancelled fetch surfaces ErrHuntCancelled (or
 // ErrHuntDeadline) from this call; a cancellation mid-iteration makes
 // Next return false with the same error in Err, leaving the cursor
 // resumable via SetContext.
-func (en *Engine) ExecuteCursorCtx(ctx context.Context, q *tbql.Query, limit int, tr *obs.Trace) (*Cursor, error) {
-	return en.executeCursor(ctx, q, limit, tr)
-}
-
-// executeCursor is the shared hunt entry: snapshot, cost-based (or
-// static) scheduling, fetch, and lazy-join cursor construction.
-func (en *Engine) executeCursor(ctx context.Context, q *tbql.Query, limit int, tr *obs.Trace) (*Cursor, error) {
+//
+// limit is a row-need bound: the caller promises to read at most limit
+// rows from the cursor (0 = no bound). When the query shape makes it
+// safe (fetchCapSafe), the bound is pushed into the per-shard data
+// queries as a fetch-side row cap, so a first-page hunt over a huge
+// table fetches page-scaled rows instead of materializing the whole
+// table. A capped cursor's Stats report FetchCapped; reading it past
+// limit rows yields a truncated result, so callers must not page beyond
+// their promise.
+//
+// tr receives the pipeline stages, so a caller that already traced
+// earlier stages (parse, cache lookups) gets one contiguous span tree
+// back from Cursor.Trace. A nil tr falls back to the engine's default
+// (trace unless DisableTracing).
+func (en *Engine) ExecuteCursor(ctx context.Context, q *tbql.Query, limit int, tr *obs.Trace) (*Cursor, error) {
 	if ctxDone(ctx) {
 		return nil, huntErr(ctx)
 	}
@@ -190,9 +171,7 @@ func (en *Engine) executeCursor(ctx context.Context, q *tbql.Query, limit int, t
 	// snapshot just pinned and re-derive the order so the most
 	// selective pattern anchors the streaming join. The static
 	// pruning-score order (already computed above) remains the fallback
-	// whenever estimates are unavailable. Both pipelines — prepared and
-	// text — get the cost order, so the prepared≡text equivalence holds
-	// order and all.
+	// whenever estimates are unavailable.
 	if !en.DisableCostOptimizer && !en.DisableScheduling {
 		costSp := tr.Begin("cost_optimize", -1)
 		if co, _, ok := en.costSchedule(q, patShards, sv, maxHops); ok {
@@ -222,7 +201,7 @@ func (en *Engine) executeCursor(ctx context.Context, q *tbql.Query, limit int, t
 
 	spec := fetchSpec{order: order, patShards: patShards,
 		maxHops: maxHops, maxProp: maxProp, fp: fp, ctx: ctx}
-	if limit > 0 && !en.DisableCostOptimizer && !en.UseTextCompile && fetchCapSafe(q) {
+	if limit > 0 && !en.DisableCostOptimizer && fetchCapSafe(q) {
 		spec.rowCap = limit
 		c.stats.FetchCapped = true
 	}
@@ -248,18 +227,8 @@ func (en *Engine) executeCursor(ctx context.Context, q *tbql.Query, limit int, t
 		c.projSlots[i] = info.EntitySlot[item.ID]
 	}
 
-	if en.UseNaiveJoin {
-		matches, explored, err := en.join(ctx, q, order, rows)
-		c.stats.JoinCandidates = explored
-		if err != nil {
-			c.view = nil
-			return nil, err
-		}
-		c.naive = matches
-	} else {
-		c.stream = newMatchStream(planJoin(q, order), rows)
-		c.stream.stop = c.joinStop
-	}
+	c.stream = newMatchStream(planJoin(q, order), rows)
+	c.stream.stop = c.joinStop
 	return c, nil
 }
 
@@ -301,26 +270,6 @@ func planCacheNote(tr *obs.Trace, st *Stats) string {
 	return string(b)
 }
 
-// ExecuteTBQLCursor parses, analyzes, and executes TBQL source,
-// returning a cursor over the projected rows.
-func (en *Engine) ExecuteTBQLCursor(src string) (*Cursor, error) {
-	q, err := tbql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return en.ExecuteCursor(q)
-}
-
-// ExecuteTBQLCursorLimit is ExecuteTBQLCursor with a row-need bound
-// (see ExecuteCursorLimit).
-func (en *Engine) ExecuteTBQLCursorLimit(src string, limit int) (*Cursor, error) {
-	q, err := tbql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return en.ExecuteCursorLimit(q, limit)
-}
-
 // Columns returns the projected column names (entity.attr), valid before
 // the first Next. The caller must not modify the returned slice.
 func (c *Cursor) Columns() []string { return c.cols }
@@ -348,8 +297,9 @@ func (c *Cursor) Stats() Stats {
 
 // DataQueries renders the executed data queries as human-readable
 // SQL/Cypher text, in scheduled order — lazily, memoized on first
-// call. The text matches what the legacy text pipeline would execute
-// for the same hunt, propagated IN-lists splatted in.
+// call — with the propagated sets each query was bound to spelled out
+// as IN-lists. Run on a shard of the cursor's snapshot, each text
+// returns the rows its bound plan fetched there.
 func (c *Cursor) DataQueries() []string {
 	if c.stats.DataQueries == nil && len(c.stats.dq) > 0 {
 		c.stats.DataQueries = c.en.renderDataQueries(c.query, c.stats.dq)
@@ -386,9 +336,8 @@ func (c *Cursor) ensureAttrs() bool {
 }
 
 // Next advances to the next projected row, applying DISTINCT
-// deduplication incrementally. On the streaming path this resumes the
-// depth-first join walk, doing only the work needed to surface one more
-// row. It returns false when the rows are exhausted, an error occurred
+// deduplication incrementally. It resumes the depth-first join walk,
+// doing only the work needed to surface one more row. It returns false when the rows are exhausted, an error occurred
 // (see Err), or the cursor is closed; exhaustion and errors release the
 // snapshot references.
 //
@@ -415,22 +364,16 @@ func (c *Cursor) advance() bool {
 		return false
 	}
 	for {
-		var m *Match
-		switch {
-		case c.stream != nil:
-			if !c.stream.Next() {
-				if c.stream.interrupted {
-					c.stream.interrupted = false
-					c.abortJoin()
-					return false
-				}
-				c.finish()
+		if c.stream == nil {
+			c.finish()
+			return false
+		}
+		if !c.stream.Next() {
+			if c.stream.interrupted {
+				c.stream.interrupted = false
+				c.abortJoin()
 				return false
 			}
-		case c.npos < len(c.naive):
-			m = &c.naive[c.npos]
-			c.npos++
-		default:
 			c.finish()
 			return false
 		}
@@ -438,20 +381,12 @@ func (c *Cursor) advance() bool {
 			c.finish()
 			return false
 		}
-		var row []string
-		if m == nil {
-			row = make([]string, len(c.query.Return))
-			for i, item := range c.query.Return {
-				row[i] = c.attrs.get(c.stream.entities[c.projSlots[i]], item.Attr)
-			}
-			if c.collectMatches {
-				c.matches = append(c.matches, c.stream.match())
-			}
-		} else {
-			row = projectMatch(c.query, *m, c.attrs)
-			if c.collectMatches {
-				c.matches = append(c.matches, *m)
-			}
+		row := make([]string, len(c.query.Return))
+		for i, item := range c.query.Return {
+			row[i] = c.attrs.get(c.stream.entities[c.projSlots[i]], item.Attr)
+		}
+		if c.collectMatches {
+			c.matches = append(c.matches, c.stream.match())
 		}
 		if c.distinct {
 			key := strings.Join(row, "\x00")
@@ -559,7 +494,6 @@ func (c *Cursor) Close() error {
 	}
 	c.row = nil
 	c.stream = nil
-	c.naive = nil
 	c.seen = nil
 	c.view = nil
 	return nil

@@ -50,14 +50,14 @@ func TestCursorEquivalence(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			en := tc.engine(t, 2000)
-			res, err := en.ExecuteTBQL(tc.src)
+			res, err := runTBQL(en, tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Rows) == 0 {
 				t.Fatal("hunt found nothing; fixture broken")
 			}
-			cur, err := en.ExecuteTBQLCursor(tc.src)
+			cur, err := openTBQL(en, tc.src, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,8 +84,8 @@ func TestCursorSemantics(t *testing.T) {
 	en := crackEngine(t, 500)
 
 	t.Run("empty-result-set", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(`proc p["%no-such-binary%"] read file f as e1
-return p, f`)
+		cur, err := openTBQL(en, `proc p["%no-such-binary%"] read file f as e1
+return p, f`, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ return p, f`)
 	})
 
 	t.Run("scan-before-next", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(crackTBQL)
+		cur, err := openTBQL(en, crackTBQL, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ return p, f`)
 	})
 
 	t.Run("scan-strings", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(crackTBQL)
+		cur, err := openTBQL(en, crackTBQL, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +135,8 @@ return p, f`)
 	})
 
 	t.Run("scan-int-attr", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(`proc p["%cracker%"] read file f["%/etc/shadow%"] as e1
-return p.pid, f`)
+		cur, err := openTBQL(en, `proc p["%cracker%"] read file f["%/etc/shadow%"] as e1
+return p.pid, f`, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ return p.pid, f`)
 	})
 
 	t.Run("scan-type-mismatch", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(crackTBQL)
+		cur, err := openTBQL(en, crackTBQL, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ return p.pid, f`)
 	})
 
 	t.Run("scan-arity-mismatch", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(crackTBQL)
+		cur, err := openTBQL(en, crackTBQL, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ return p.pid, f`)
 	})
 
 	t.Run("close-idempotent", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(crackTBQL)
+		cur, err := openTBQL(en, crackTBQL, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +225,11 @@ return p.pid, f`)
 		// collapses Result.Rows.
 		src := `proc p["%cracker%"] read file f["%/etc/shadow%"] as e1
 return distinct p, f`
-		res, err := en.ExecuteTBQL(src)
+		res, err := runTBQL(en, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := en.ExecuteTBQLCursor(src)
+		cur, err := openTBQL(en, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ return distinct p, f`
 	})
 
 	t.Run("stats-populated", func(t *testing.T) {
-		cur, err := en.ExecuteTBQLCursor(crackTBQL)
+		cur, err := openTBQL(en, crackTBQL, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

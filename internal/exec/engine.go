@@ -48,18 +48,8 @@ type Engine struct {
 	// a rendered IN-list that must be re-lexed — so the default is 50×
 	// the old text-pipeline cap and overflow is rare.
 	MaxPropagatedIDs int
-	// UseNaiveJoin executes the join as the legacy materializing
-	// nested loop instead of the streaming hash join (correctness
-	// baseline for the equivalence tests and allocation benchmarks).
-	UseNaiveJoin bool
-	// UseTextCompile renders each data query as SQL/Cypher text with
-	// inline propagated IN-lists and re-parses it per shard — the
-	// legacy pipeline, kept as the correctness and performance baseline
-	// the prepared-plan path is property-tested and benchmarked
-	// against.
-	UseTextCompile bool
 	// Plans is the cross-hunt prepared-plan cache (NewPlanCache); nil
-	// compiles per hunt without caching. Ignored under UseTextCompile.
+	// compiles each hunt's plans without caching them.
 	Plans *PlanCache
 	// Clock, when set, names each cursor's pinned snapshot with the
 	// store's current ingest epoch (Cursor.Epoch). A nil clock leaves
@@ -141,7 +131,7 @@ type Stats struct {
 	// PlanCacheHits/Misses count this hunt's plan-template resolutions
 	// against the engine's cross-hunt PlanCache: a warm repeat hunt is
 	// all hits and compiles nothing. Both stay 0 when the engine has no
-	// cache or runs the text pipeline.
+	// cache.
 	PlanCacheHits   int
 	PlanCacheMisses int
 	// JoinCandidates counts candidate rows examined during the join.
@@ -178,8 +168,7 @@ type Stats struct {
 
 // dataQueryRef is one executed data query in unrendered form: the
 // pattern it compiled from plus the propagated ID sets that were bound
-// (or splatted, on the text pipeline) for its wave. Rendering it
-// reproduces exactly the text the legacy pipeline would have executed.
+// for its wave. Rendering it spells the bound sets out as IN-lists.
 type dataQueryRef struct {
 	pi              int
 	subjIDs, objIDs []int64
@@ -203,7 +192,7 @@ const fetchWorkers = 4
 // streams the projection instead and does only as much join work as the
 // caller consumes.
 func (en *Engine) Execute(q *tbql.Query) (*Result, error) {
-	c, err := en.ExecuteCursor(q)
+	c, err := en.ExecuteCursor(nil, q, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -221,15 +210,6 @@ func (en *Engine) Execute(q *tbql.Query) (*Result, error) {
 	err = c.Err()
 	c.Close()
 	return res, err
-}
-
-// projectMatch renders one match as a projected row of entity attributes.
-func projectMatch(q *tbql.Query, m Match, attrs *attrCache) []string {
-	row := make([]string, len(q.Return))
-	for i, item := range q.Return {
-		row[i] = attrs.get(m.Entities[item.ID], item.Attr)
-	}
-	return row
 }
 
 // schedule orders pattern indexes by pruning score (descending), stable
@@ -474,9 +454,6 @@ func (en *Engine) fetchPatterns(q *tbql.Query, sv *storeView, spec fetchSpec, st
 			if !en.DisablePropagation {
 				propSet := func(id string) []int64 {
 					set := known[id]
-					if len(set) == 0 {
-						return nil
-					}
 					if len(set) > maxProp {
 						stats.PropagationsSkipped++
 						return nil
@@ -484,8 +461,13 @@ func (en *Engine) fetchPatterns(q *tbql.Query, sv *storeView, spec fetchSpec, st
 					stats.Propagations++
 					return sortedIDs(set)
 				}
-				subjIDs = propSet(pat.Subj.ID)
-				objIDs = propSet(pat.Obj.ID)
+				sides := propagatedShape(pat, func(id string) bool { return len(known[id]) > 0 })
+				if sides&propSubj != 0 {
+					subjIDs = propSet(pat.Subj.ID)
+				}
+				if sides&propObj != 0 {
+					objIDs = propSet(pat.Obj.ID)
+				}
 			}
 			if pat.IsPath && en.Graph == nil {
 				return nil, fmt.Errorf("exec: pattern %q needs the graph backend", pat.Name)
@@ -499,54 +481,28 @@ func (en *Engine) fetchPatterns(q *tbql.Query, sv *storeView, spec fetchSpec, st
 				continue
 			}
 			dqRefs[pos] = &dataQueryRef{pi: pi, subjIDs: subjIDs, objIDs: objIDs}
-			var src string
-			var plan *patternPlan
+			// A set dropped for exceeding maxProp leaves its side unbound.
+			var shape propShape
+			if subjIDs != nil {
+				shape |= propSubj
+			}
+			if objIDs != nil {
+				shape |= propObj
+			}
+			plan, err := en.lookupPlan(pat, shape, maxHops, spec.fp, stats)
+			if err != nil {
+				return nil, err
+			}
 			var sqlParams *relstore.Params
 			var cyParams *graphstore.CParams
-			if en.UseTextCompile {
-				// Legacy text pipeline: render the data query with inline
-				// IN-lists; every shard job re-parses the text.
-				var extraSQL, extraCypher []string
-				if subjIDs != nil {
-					extraSQL = append(extraSQL, "e.srcid IN ("+inListSQL(subjIDs)+")")
-					extraCypher = append(extraCypher, inListCypher("s.id", subjIDs))
-				}
-				if objIDs != nil {
-					extraSQL = append(extraSQL, "e.dstid IN ("+inListSQL(objIDs)+")")
-					extraCypher = append(extraCypher, inListCypher("o.id", objIDs))
-				}
-				if pat.IsPath {
-					src = compileCypher(pat, extraCypher, maxHops)
-				} else {
-					src = compileSQL(pat, extraSQL)
-				}
+			if pat.IsPath {
+				cyParams = plan.bindCypher(subjIDs, objIDs)
 			} else {
-				var shape propShape
-				if subjIDs != nil {
-					shape |= propSubj
-				}
-				if objIDs != nil {
-					shape |= propObj
-				}
-				var err error
-				plan, err = en.lookupPlan(pat, shape, maxHops, spec.fp, stats)
-				if err != nil {
-					return nil, err
-				}
-				if pat.IsPath {
-					cyParams = plan.bindCypher(subjIDs, objIDs)
-				} else {
-					sqlParams = plan.bindSQL(subjIDs, objIDs)
-				}
+				sqlParams = plan.bindSQL(subjIDs, objIDs)
 			}
 			for _, sh := range patShards[pi] {
-				j := &shardJob{pi: pi, shard: sh, isPath: pat.IsPath, src: src,
-					plan: plan, sqlParams: sqlParams, cyParams: cyParams, work: w}
-				if plan != nil {
-					// Fetch-side row cap: prepared pipeline only (the text
-					// pipeline would need the cap rendered into the SQL).
-					j.rowCap = spec.rowCap
-				}
+				j := &shardJob{pi: pi, shard: sh, isPath: pat.IsPath, plan: plan,
+					sqlParams: sqlParams, cyParams: cyParams, rowCap: spec.rowCap, work: w}
 				w.jobs = append(w.jobs, j)
 				jobs = append(jobs, j)
 			}
@@ -740,9 +696,11 @@ func retireWave(en *Engine, works []*patWork) {
 }
 
 // renderDataQueries materializes the human-readable DataQueries text
-// from the compact executed-query refs — the exact text the legacy
-// pipeline executes for the same hunt, IN-lists included. Called only
-// from Cursor.DataQueries / Execute, never on the hot hunt path.
+// from the compact executed-query refs: each pattern's data query with
+// its bound propagation sets spelled out as IN-lists, so the text runs
+// as-is on any shard and returns the rows the bound plan fetched there.
+// Called only from Cursor.DataQueries / Execute, never on the hot hunt
+// path.
 func (en *Engine) renderDataQueries(q *tbql.Query, refs []dataQueryRef) []string {
 	maxHops := en.MaxPathHops
 	if maxHops == 0 {
@@ -779,21 +737,19 @@ type patWork struct {
 	total   atomic.Int32
 }
 
-// shardJob is one (pattern, shard) fetch: the pattern's data query run
-// against a single store shard. On the prepared pipeline the job
-// executes plan with the shared parameter binding (zero parsing); on
-// the text pipeline it re-parses src.
+// shardJob is one (pattern, shard) fetch: the pattern's prepared plan
+// executed against a single store shard with the parameter binding all
+// of the pattern's shard jobs share, so nothing is parsed per shard.
 type shardJob struct {
 	pi        int
 	shard     int
 	isPath    bool
-	src       string // text pipeline only
 	plan      *patternPlan
 	sqlParams *relstore.Params
 	cyParams  *graphstore.CParams
 	// rowCap, when positive, stops the shard's fetch after this many
-	// rows (prepared pipeline only; see fetchCapSafe for when capping
-	// preserves the hunt's first rows exactly).
+	// rows (see fetchCapSafe for when capping preserves the hunt's first
+	// rows exactly).
 	rowCap  int
 	fetched []EventRow
 	err     error
@@ -807,14 +763,10 @@ type shardJob struct {
 func (j *shardJob) fetchRel(v *relstore.View) {
 	var rr *relstore.Rows
 	var err error
-	if j.plan != nil {
-		if j.rowCap > 0 {
-			rr, err = j.plan.sql.QueryViewLimit(v, j.sqlParams, j.rowCap)
-		} else {
-			rr, err = j.plan.sql.QueryView(v, j.sqlParams)
-		}
+	if j.rowCap > 0 {
+		rr, err = j.plan.sql.QueryViewLimit(v, j.sqlParams, j.rowCap)
 	} else {
-		rr, err = v.Query(j.src)
+		rr, err = j.plan.sql.QueryView(v, j.sqlParams)
 	}
 	if err != nil {
 		j.err = err
@@ -838,14 +790,10 @@ func (j *shardJob) fetchRel(v *relstore.View) {
 func (j *shardJob) fetchGraph(g *graphstore.Graph, mark uint64) {
 	var gr *graphstore.Rows
 	var err error
-	if j.plan != nil {
-		if j.rowCap > 0 {
-			gr, err = g.QueryPreparedAtLimit(j.plan.cy, mark, j.cyParams, j.rowCap)
-		} else {
-			gr, err = g.QueryPreparedAt(j.plan.cy, mark, j.cyParams)
-		}
+	if j.rowCap > 0 {
+		gr, err = g.QueryPreparedAtLimit(j.plan.cy, mark, j.cyParams, j.rowCap)
 	} else {
-		gr, err = g.QueryAt(j.src, mark)
+		gr, err = g.QueryPreparedAt(j.plan.cy, mark, j.cyParams)
 	}
 	if err != nil {
 		j.err = err
@@ -862,15 +810,6 @@ func (j *shardJob) fetchGraph(g *graphstore.Graph, mark uint64) {
 	}
 }
 
-// ExecuteTBQL parses, analyzes, and executes TBQL source.
-func (en *Engine) ExecuteTBQL(src string) (*Result, error) {
-	q, err := tbql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return en.Execute(q)
-}
-
 // ExplainedPattern describes how one pattern would execute.
 type ExplainedPattern struct {
 	Name    string
@@ -884,16 +823,16 @@ type ExplainedPattern struct {
 	// cardinality estimates rather than static pruning scores.
 	CostBased bool
 	// DataQuery is the data query as it would actually execute: the
-	// prepared template text ($k parameter slots for propagated sets
-	// and window bounds) on the default pipeline, or the rendered
-	// SQL/Cypher text under Engine.UseTextCompile.
+	// prepared template text, with $k parameter slots for propagated
+	// sets and window bounds.
 	DataQuery string
-	// Propagated lists the entity variables this pattern shares with
-	// earlier scheduled patterns — the ones that receive propagated
-	// constraint sets at run time (empty when propagation is
-	// disabled). Whether a hunt actually injects them depends on
-	// MaxPropagatedIDs; Stats.PropagationsSkipped counts the ones
-	// dropped for exceeding it.
+	// Propagated lists, once each, the entity variables this pattern
+	// shares with earlier scheduled patterns — the ones that receive
+	// propagated constraint sets at run time (empty when propagation is
+	// disabled). A self-loop pattern's one variable constrains both its
+	// subject and object side. Whether a hunt actually injects a set
+	// depends on MaxPropagatedIDs; Stats.PropagationsSkipped counts the
+	// ones dropped for exceeding it.
 	Propagated []string
 	// Hosts lists the host constants the pattern's filters pin it to
 	// (nil when unconstrained): on a sharded store the pattern's data
@@ -907,26 +846,17 @@ type ExplainedPattern struct {
 // optimizer is on and the stores carry stats (estimated against a
 // freshly captured epoch snapshot, exactly as ExecuteCursor would),
 // the static pruning-score order otherwise. DataQuery reports the
-// plan that would actually run — the prepared parameterized template
-// on the default pipeline — so /explain output and executed queries
-// can no longer drift apart.
-func (en *Engine) Explain(q *tbql.Query) ([]ExplainedPattern, error) {
-	return en.ExplainTrace(q, nil)
-}
-
-// ExplainTraceCtx is ExplainTrace honoring a lifecycle context. Explain
-// executes no data queries, so the context is checked once at entry —
-// there is no long-running phase to interrupt after that.
-func (en *Engine) ExplainTraceCtx(ctx context.Context, q *tbql.Query, tr *obs.Trace) ([]ExplainedPattern, error) {
+// plan that would actually run — the prepared parameterized template,
+// for the propagation shape the hunt derives (propagatedShape) — so
+// /explain output and executed queries cannot drift apart. The stages
+// (analyze, estimate, compile) are recorded as spans on tr; a nil tr
+// records nothing. Explain executes no data queries, so ctx (nil =
+// never cancelled) is checked once at entry: there is no long-running
+// phase to interrupt after that.
+func (en *Engine) Explain(ctx context.Context, q *tbql.Query, tr *obs.Trace) ([]ExplainedPattern, error) {
 	if ctxDone(ctx) {
 		return nil, huntErr(ctx)
 	}
-	return en.ExplainTrace(q, tr)
-}
-
-// ExplainTrace is Explain recording its stages (analyze, estimate,
-// compile) as spans on tr. A nil tr records nothing.
-func (en *Engine) ExplainTrace(q *tbql.Query, tr *obs.Trace) ([]ExplainedPattern, error) {
 	if q.Info() == nil {
 		sp := tr.Begin("analyze", -1)
 		err := tbql.Analyze(q)
@@ -980,28 +910,19 @@ func (en *Engine) ExplainTrace(q *tbql.Query, tr *obs.Trace) ([]ExplainedPattern
 		}
 		var shape propShape
 		if !en.DisablePropagation {
-			if seen[pat.Subj.ID] {
+			shape = propagatedShape(pat, func(id string) bool { return seen[id] })
+			if shape&propSubj != 0 {
 				ep.Propagated = append(ep.Propagated, pat.Subj.ID)
-				shape |= propSubj
 			}
-			if seen[pat.Obj.ID] && pat.Obj.ID != pat.Subj.ID {
+			if shape&propObj != 0 && pat.Obj.ID != pat.Subj.ID {
 				ep.Propagated = append(ep.Propagated, pat.Obj.ID)
-				shape |= propObj
 			}
 		}
-		if en.UseTextCompile {
-			if pat.IsPath {
-				ep.DataQuery = compileCypher(pat, nil, maxHops)
-			} else {
-				ep.DataQuery = compileSQL(pat, nil)
-			}
-		} else {
-			plan, err := en.lookupPlan(pat, shape, maxHops, fp, &stats)
-			if err != nil {
-				return nil, err
-			}
-			ep.DataQuery = plan.text
+		plan, err := en.lookupPlan(pat, shape, maxHops, fp, &stats)
+		if err != nil {
+			return nil, err
 		}
+		ep.DataQuery = plan.text
 		seen[pat.Subj.ID] = true
 		seen[pat.Obj.ID] = true
 		out = append(out, ep)
@@ -1017,111 +938,11 @@ func returnCols(q *tbql.Query) []string {
 	return cols
 }
 
-// join is the legacy materializing nested-loop join, kept behind
-// Engine.UseNaiveJoin as the correctness baseline the streaming hash
-// join is property-tested against. It binds the patterns' fetched rows
-// into complete matches, cloning the binding maps per accepted
-// candidate and re-checking every bound relation at each level. The
-// hunt context and the MaxJoinRows budget are polled every
-// joinCheckEvery candidates, like the streaming path.
-func (en *Engine) join(ctx context.Context, q *tbql.Query, order []int, rows [][]EventRow) ([]Match, int, error) {
-	type partial struct {
-		events   map[string]EventRow
-		entities map[string]int64
-	}
-	parts := []partial{{events: map[string]EventRow{}, entities: map[string]int64{}}}
-	explored := 0
-	bound := map[string]bool{} // event names bound so far
-
-	for _, pi := range order {
-		pat := &q.Patterns[pi]
-		bound[pat.Name] = true
-		var next []partial
-		for _, p := range parts {
-			for _, r := range rows[pi] {
-				explored++
-				if explored%joinCheckEvery == 0 {
-					if ctxDone(ctx) {
-						return nil, explored, huntErr(ctx)
-					}
-					if en.MaxJoinRows > 0 && explored >= en.MaxJoinRows {
-						return nil, explored, en.joinBudgetErr(explored)
-					}
-				}
-				if id, ok := p.entities[pat.Subj.ID]; ok && id != r.SrcID {
-					continue
-				}
-				if id, ok := p.entities[pat.Obj.ID]; ok && id != r.DstID {
-					continue
-				}
-				ev := cloneEvents(p.events)
-				ev[pat.Name] = r
-				if !relationsOK(q, bound, ev) {
-					continue
-				}
-				ent := cloneEntities(p.entities)
-				ent[pat.Subj.ID] = r.SrcID
-				ent[pat.Obj.ID] = r.DstID
-				next = append(next, partial{events: ev, entities: ent})
-			}
-		}
-		parts = next
-		if len(parts) == 0 {
-			return nil, explored, nil
-		}
-	}
-
-	matches := make([]Match, len(parts))
-	for i, p := range parts {
-		matches[i] = Match{Events: p.events, Entities: p.entities}
-	}
-	return matches, explored, nil
-}
-
 // joinBudgetErr names the exhausted budget so the 422 the service maps
 // it to tells the analyst which knob fired.
 func (en *Engine) joinBudgetErr(explored int) error {
 	return fmt.Errorf("%w: join examined %d candidate rows (max-join-rows %d)",
 		ErrJoinBudget, explored, en.MaxJoinRows)
-}
-
-// relationsOK checks every temporal and attribute relation whose two
-// events are both bound (legacy join path).
-func relationsOK(q *tbql.Query, bound map[string]bool, ev map[string]EventRow) bool {
-	for _, tr := range q.Temporal {
-		if !bound[tr.A] || !bound[tr.B] {
-			continue
-		}
-		a, b := ev[tr.A], ev[tr.B]
-		if tr.Op == "before" {
-			if !(a.Start < b.Start) {
-				return false
-			}
-		} else {
-			if !(a.Start > b.Start) {
-				return false
-			}
-		}
-	}
-	for _, ar := range q.AttrRels {
-		if !bound[ar.AEvt] {
-			continue
-		}
-		av := eventAttr(ev[ar.AEvt], ar.AAttr)
-		var bv int64
-		if ar.BIsLit {
-			bv = ar.BLit
-		} else {
-			if !bound[ar.BEvt] {
-				continue
-			}
-			bv = eventAttr(ev[ar.BEvt], ar.BAttr)
-		}
-		if !cmpInt(av, ar.Op, bv) {
-			return false
-		}
-	}
-	return true
 }
 
 func eventAttr(r EventRow, attr string) int64 {
@@ -1161,22 +982,6 @@ func cmpInt(a int64, op string, b int64) bool {
 	return false
 }
 
-func cloneEvents(m map[string]EventRow) map[string]EventRow {
-	out := make(map[string]EventRow, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneEntities(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m)+2)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // sortedIDs returns the set's IDs in ascending order, for deterministic
 // IN-lists.
 func sortedIDs(set map[int64]bool) []int64 {
@@ -1189,7 +994,7 @@ func sortedIDs(set map[int64]bool) []int64 {
 }
 
 // inListSQL renders a sorted entity-ID list as a SQL IN-list body (the
-// text pipeline and the lazy DataQueries rendering).
+// lazy DataQueries rendering).
 func inListSQL(ids []int64) string {
 	var b strings.Builder
 	for i, v := range ids {

@@ -69,9 +69,28 @@ func leakageEngine(t testing.TB, benign int) *Engine {
 	return en
 }
 
+// runTBQL parses src and executes it through Engine.Execute.
+func runTBQL(en *Engine, src string) (*Result, error) {
+	q, err := tbql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return en.Execute(q)
+}
+
+// openTBQL parses src and opens a cursor over it through
+// Engine.ExecuteCursor with the given row-need bound (0 = none).
+func openTBQL(en *Engine, src string, limit int) (*Cursor, error) {
+	q, err := tbql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return en.ExecuteCursor(nil, q, limit, nil)
+}
+
 func TestExecuteFig2FindsAttack(t *testing.T) {
 	en := leakageEngine(t, 2000)
-	res, err := en.ExecuteTBQL(fig2TBQL)
+	res, err := runTBQL(en, fig2TBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +113,7 @@ func TestExecuteFig2FindsAttack(t *testing.T) {
 
 func TestExecuteNoAttackNoMatch(t *testing.T) {
 	en, _ := newEngine(t, gen.Config{Seed: 7, BenignEvents: 2000})
-	res, err := en.ExecuteTBQL(fig2TBQL)
+	res, err := runTBQL(en, fig2TBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +132,7 @@ func TestExecuteTemporalOrderEnforced(t *testing.T) {
 proc p1 write file f2["%/tmp/upload.tar%"] as evt2
 with evt2 before evt1
 return p1`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +147,7 @@ func TestExecuteSharedEntityJoin(t *testing.T) {
 	q := `proc p1 write file f2["%/tmp/upload.tar%"] as evt2
 proc p2["%/bin/bzip2%"] read file f2 as evt3
 return distinct p1, p2, f2`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +165,7 @@ func TestExecutePathPattern(t *testing.T) {
 	// fork tar, read passwd = 3 hops; the leakage chain also reaches it).
 	q := `proc p["%/usr/sbin/apache2%"] ~>(1~4)[read] file f["%/etc/passwd%"] as e1
 return distinct p, f`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +185,7 @@ func TestExecutePathPatternTooShort(t *testing.T) {
 	en := leakageEngine(t, 0)
 	q := `proc p["%/usr/sbin/apache2%"] ~>(1~1)[read] file f["%/etc/passwd%"] as e1
 return p, f`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +196,13 @@ return p, f`
 
 func TestExecutePropagationReducesWork(t *testing.T) {
 	en := leakageEngine(t, 3000)
-	full, err := en.ExecuteTBQL(fig2TBQL)
+	full, err := runTBQL(en, fig2TBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	en.DisablePropagation = true
 	en.DisableScheduling = true
-	naive, err := en.ExecuteTBQL(fig2TBQL)
+	naive, err := runTBQL(en, fig2TBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +224,7 @@ func TestExecuteOpDisjunction(t *testing.T) {
 	en := leakageEngine(t, 0)
 	q := `proc p1["%/bin/tar%"] read || write file f as e1
 return distinct f`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +246,7 @@ func TestExecuteTimeWindow(t *testing.T) {
 	}
 	q := `proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as e1 from 0 to 1
 return p1`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +255,7 @@ return p1`
 	}
 	q2 := `proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as e1 from 0 to 9223372036854775806
 return p1`
-	res, err = en.ExecuteTBQL(q2)
+	res, err = runTBQL(en, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +271,7 @@ func TestExecuteAttrRel(t *testing.T) {
 proc p2 write file f2["%/tmp/upload.tar%"] as evt2
 with evt1.srcid = evt2.srcid
 return distinct p1, p2`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +284,7 @@ func TestExecuteReturnExplicitAttr(t *testing.T) {
 	en := leakageEngine(t, 0)
 	q := `proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as e1
 return p1.pid, f1.name`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,15 +298,15 @@ return p1.pid, f1.name`
 
 func TestExecuteErrors(t *testing.T) {
 	en := leakageEngine(t, 0)
-	if _, err := en.ExecuteTBQL("not a query"); err == nil {
+	if _, err := runTBQL(en, "not a query"); err == nil {
 		t.Error("garbage should fail")
 	}
 	enNoGraph := &Engine{Rel: en.Rel}
-	if _, err := enNoGraph.ExecuteTBQL("proc p ~>[read] file f as e1\nreturn p"); err == nil {
+	if _, err := runTBQL(enNoGraph, "proc p ~>[read] file f as e1\nreturn p"); err == nil {
 		t.Error("path pattern without graph backend should fail")
 	}
 	enNoRel := &Engine{Graph: en.Graph}
-	if _, err := enNoRel.ExecuteTBQL("proc p read file f as e1\nreturn p"); err == nil {
+	if _, err := runTBQL(enNoRel, "proc p read file f as e1\nreturn p"); err == nil {
 		t.Error("engine without relational backend should fail")
 	}
 }
@@ -300,7 +319,7 @@ func TestExecuteScheduledOrderByScore(t *testing.T) {
 proc p4 connect ip i1["192.168.29.128"] as evt8
 with evt7 before evt8
 return distinct p4`
-	res, err := en.ExecuteTBQL(q)
+	res, err := runTBQL(en, q)
 	if err != nil {
 		t.Fatal(err)
 	}

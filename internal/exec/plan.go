@@ -23,6 +23,24 @@ const (
 	propObj
 )
 
+// propagatedShape reports which sides of pat receive a propagated
+// entity-ID set when bound reports which entity variables earlier
+// scheduled patterns observed. A self-loop pattern (subject and object
+// one variable) binds the set on both its srcid and dstid side. The
+// hunt's fetch and Explain both derive the shape here, so the template
+// Explain shows is the one the hunt binds, unless a set overflows
+// MaxPropagatedIDs at run time and its side is left unbound.
+func propagatedShape(pat *tbql.EventPattern, bound func(id string) bool) propShape {
+	var shape propShape
+	if bound(pat.Subj.ID) {
+		shape |= propSubj
+	}
+	if bound(pat.Obj.ID) {
+		shape |= propObj
+	}
+	return shape
+}
+
 // patternPlan is one compiled, parameterized data-query template: a
 // prepared statement for a (pattern, propagation-shape) pair, plus the
 // parameter-slot layout needed to bind a wave's propagated ID sets (and,
@@ -44,10 +62,10 @@ type patternPlan struct {
 
 // compilePlan builds the plan template for a pattern and propagation
 // shape: it renders the template text with `$k` placeholders where the
-// text pipeline would splat literals, then prepares it once. SQL
-// statements are prepared against shard 0 (every shard is bootstrapped
-// with identical schemas, so the same Stmt executes against any shard's
-// epoch view).
+// rendered data query (renderDataQueries) spells out literals, then
+// prepares it once. SQL statements are prepared against shard 0 (every
+// shard is bootstrapped with identical schemas, so the same Stmt
+// executes against any shard's epoch view).
 func (en *Engine) compilePlan(pat *tbql.EventPattern, shape propShape, maxHops int) (*patternPlan, error) {
 	p := &patternPlan{subjSlot: -1, objSlot: -1, fromSlot: -1, toSlot: -1, window: pat.Window}
 	slot := 0

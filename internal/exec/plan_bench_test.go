@@ -72,7 +72,7 @@ func BenchmarkHuntRepeatedCtx(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	warm := func() error {
-		cur, err := en.ExecuteCursorCtx(ctx, q, 0, nil)
+		cur, err := en.ExecuteCursor(ctx, q, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func BenchmarkHuntColdPlan(b *testing.B) {
 // warmFirstPage reads the first page of the hunt through the cursor,
 // the production /hunt shape.
 func warmFirstPage(en *Engine, q *tbql.Query) error {
-	cur, err := en.ExecuteCursor(q)
+	cur, err := en.ExecuteCursor(nil, q, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -291,7 +291,7 @@ func BenchmarkPropagationLargeSet(b *testing.B) {
 		en := &Engine{Rel: fix.en.Rel, MaxPropagatedIDs: 100_000, Plans: NewPlanCache(16)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cur, err := en.ExecuteCursor(q)
+			cur, err := en.ExecuteCursor(nil, q, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

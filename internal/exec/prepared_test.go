@@ -8,19 +8,21 @@ import (
 	"time"
 
 	"repro/internal/audit/gen"
+	"repro/internal/relstore"
 )
 
-// TestPreparedMatchesTextCompile is the equivalence property test for
+// TestPreparedMatchesReference is the equivalence property test for
 // the prepared-plan pipeline: every randomly composed query — host
 // filters, disjunctions, contradictions, path patterns, temporal and
 // attribute relations, distinct and plain projections — must yield the
 // identical match set and projected row set under prepared-plan
 // execution (bound set parameters, cached templates) and under the
-// legacy text pipeline (rendered IN-lists re-parsed per shard), on both
-// a 1-shard and a 4-shard store. Each query runs twice on the prepared
-// engine, so the second execution exercises the warm plan-cache path
-// and must agree with the cold one.
-func TestPreparedMatchesTextCompile(t *testing.T) {
+// reference evaluator (rendered text per shard, no propagation), on
+// both a 1-shard and a 4-shard store. Each query runs twice on the
+// prepared engine, so the second execution exercises the warm
+// plan-cache path and must agree with the cold one, propagation
+// accounting included.
+func TestPreparedMatchesReference(t *testing.T) {
 	hosts := []string{"host1", "host2", "host3"}
 	cfgs := []gen.Config{
 		{Seed: 42, Host: hosts[0], BenignEvents: 400,
@@ -32,28 +34,15 @@ func TestPreparedMatchesTextCompile(t *testing.T) {
 	one, _ := newShardedEngine(t, 1, cfgs...)
 	many, _ := newShardedEngine(t, 4, cfgs...)
 
-	type pair struct {
-		name           string
-		prepared, text *Engine
-	}
-	pairs := []pair{
-		{
-			"1-shard",
-			&Engine{Rel: one.Rel, Graph: one.Graph, Plans: NewPlanCache(64)},
-			&Engine{Rel: one.Rel, Graph: one.Graph, UseTextCompile: true},
-		},
-		{
-			"4-shard",
-			&Engine{Rel: many.Rel, Graph: many.Graph, Plans: NewPlanCache(64)},
-			&Engine{Rel: many.Rel, Graph: many.Graph, UseTextCompile: true},
-		},
+	modes := []struct {
+		name     string
+		prepared *Engine
+	}{
+		{"1-shard", &Engine{Rel: one.Rel, Graph: one.Graph, Plans: NewPlanCache(64)}},
+		{"4-shard", &Engine{Rel: many.Rel, Graph: many.Graph, Plans: NewPlanCache(64)}},
 		// The same cross-check with the cost optimizer off: the prepared
-		// pipeline must match text compilation in static order too.
-		{
-			"4-shard-static",
-			&Engine{Rel: many.Rel, Graph: many.Graph, Plans: NewPlanCache(64), DisableCostOptimizer: true},
-			&Engine{Rel: many.Rel, Graph: many.Graph, UseTextCompile: true, DisableCostOptimizer: true},
-		},
+		// pipeline must match the reference in static order too.
+		{"4-shard-static", &Engine{Rel: many.Rel, Graph: many.Graph, Plans: NewPlanCache(64), DisableCostOptimizer: true}},
 	}
 
 	rng := rand.New(rand.NewSource(5150))
@@ -133,50 +122,62 @@ func TestPreparedMatchesTextCompile(t *testing.T) {
 		b.WriteString("return " + distinct + strings.Join(ret, ", "))
 		src := b.String()
 
-		for _, pr := range pairs {
-			tres, err := pr.text.ExecuteTBQL(src)
-			if err != nil {
-				t.Fatalf("case %d %s text: %v\n%s", i, pr.name, err, src)
+		// One reference evaluation per store.
+		refs := map[*relstore.Sharded]*Result{}
+		for _, md := range modes {
+			ref := refs[md.prepared.Rel]
+			if ref == nil {
+				var err error
+				if ref, err = referenceRun(md.prepared, src); err != nil {
+					t.Fatalf("case %d %s reference: %v\n%s", i, md.name, err, src)
+				}
+				refs[md.prepared.Rel] = ref
 			}
+			rm, want := canonicalMatches(ref.Matches), sortedRows(ref.Rows)
 			// Cold, then warm: the second run resolves every pattern from
 			// the plan cache and must not drift.
+			var cold Stats
 			for run, label := range []string{"cold", "warm"} {
-				pres, err := pr.prepared.ExecuteTBQL(src)
+				pres, err := runTBQL(md.prepared, src)
 				if err != nil {
-					t.Fatalf("case %d %s prepared(%s): %v\n%s", i, pr.name, label, err, src)
+					t.Fatalf("case %d %s prepared(%s): %v\n%s", i, md.name, label, err, src)
 				}
-				pm, tm := canonicalMatches(pres.Matches), canonicalMatches(tres.Matches)
-				if len(pm) != len(tm) {
-					t.Fatalf("case %d %s %s: %d prepared matches, %d text\n%s",
-						i, pr.name, label, len(pm), len(tm), src)
+				pm := canonicalMatches(pres.Matches)
+				if len(pm) != len(rm) {
+					t.Fatalf("case %d %s %s: %d prepared matches, %d reference\n%s",
+						i, md.name, label, len(pm), len(rm), src)
 				}
 				for k := range pm {
-					if pm[k] != tm[k] {
-						t.Fatalf("case %d %s %s match %d: prepared %q, text %q\n%s",
-							i, pr.name, label, k, pm[k], tm[k], src)
+					if pm[k] != rm[k] {
+						t.Fatalf("case %d %s %s match %d: prepared %q, reference %q\n%s",
+							i, md.name, label, k, pm[k], rm[k], src)
 					}
 				}
-				got, want := sortedRows(pres.Rows), sortedRows(tres.Rows)
+				got := sortedRows(pres.Rows)
 				if len(got) != len(want) {
-					t.Fatalf("case %d %s %s: %d prepared rows, %d text\n%s",
-						i, pr.name, label, len(got), len(want), src)
+					t.Fatalf("case %d %s %s: %d prepared rows, %d reference\n%s",
+						i, md.name, label, len(got), len(want), src)
 				}
 				for r := range got {
 					if got[r] != want[r] {
-						t.Fatalf("case %d %s %s row %d: prepared %q, text %q\n%s",
-							i, pr.name, label, r, got[r], want[r], src)
+						t.Fatalf("case %d %s %s row %d: prepared %q, reference %q\n%s",
+							i, md.name, label, r, got[r], want[r], src)
 					}
 				}
-				// Propagation accounting must agree between pipelines.
-				if pres.Stats.Propagations != tres.Stats.Propagations ||
-					pres.Stats.PropagationsSkipped != tres.Stats.PropagationsSkipped {
-					t.Fatalf("case %d %s %s: propagation stats drifted (prepared %d/%d, text %d/%d)\n%s",
-						i, pr.name, label, pres.Stats.Propagations, pres.Stats.PropagationsSkipped,
-						tres.Stats.Propagations, tres.Stats.PropagationsSkipped, src)
+				if run == 0 {
+					cold = pres.Stats
+					continue
 				}
-				if run == 1 && !pres.Stats.ShortCircuit && len(pres.Stats.DataQueries) > 0 &&
+				// The warm run must propagate exactly as the cold one did.
+				if pres.Stats.Propagations != cold.Propagations ||
+					pres.Stats.PropagationsSkipped != cold.PropagationsSkipped {
+					t.Fatalf("case %d %s: propagation stats drifted (warm %d/%d, cold %d/%d)\n%s",
+						i, md.name, pres.Stats.Propagations, pres.Stats.PropagationsSkipped,
+						cold.Propagations, cold.PropagationsSkipped, src)
+				}
+				if !pres.Stats.ShortCircuit && len(pres.Stats.DataQueries) > 0 &&
 					pres.Stats.PlanCacheHits == 0 {
-					t.Fatalf("case %d %s warm run resolved no plans from the cache\n%s", i, pr.name, src)
+					t.Fatalf("case %d %s warm run resolved no plans from the cache\n%s", i, md.name, src)
 				}
 			}
 		}
@@ -186,7 +187,7 @@ func TestPreparedMatchesTextCompile(t *testing.T) {
 // TestPreparedLargePropagationSet: a propagation set far above the old
 // 512-ID text-pipeline cap must be propagated (PropagationsSkipped ==
 // 0) under the raised default, and prepared execution must match the
-// text pipeline run at the same cap — under both 1 and 4 shards.
+// reference evaluator — under both 1 and 4 shards.
 func TestPreparedLargePropagationSet(t *testing.T) {
 	// 20 workers × 40 files: the f1 variable accumulates 800 distinct
 	// file IDs, which the third pattern receives as a propagated set —
@@ -195,12 +196,12 @@ func TestPreparedLargePropagationSet(t *testing.T) {
 proc p write file f2 as e2
 proc p2 write file f1 as e3
 return p, f1, f2`
+	var want []string // the reference rows, from the 1-shard store
 	for _, shards := range []int{1, 4} {
 		en := fanoutShardedEngine(t, shards, 3, 20, 40, 1)
 		prepared := &Engine{Rel: en.Rel, Plans: NewPlanCache(16)}
-		text := &Engine{Rel: en.Rel, UseTextCompile: true}
 
-		pres, err := prepared.ExecuteTBQL(query)
+		pres, err := runTBQL(prepared, query)
 		if err != nil {
 			t.Fatalf("%d shards prepared: %v", shards, err)
 		}
@@ -214,7 +215,7 @@ return p, f1, f2`
 		// The old default would have dropped the 800-ID f1 set.
 		if old := 512; pres.Stats.PropagationsSkipped == 0 {
 			capped := &Engine{Rel: en.Rel, MaxPropagatedIDs: old}
-			cres, err := capped.ExecuteTBQL(query)
+			cres, err := runTBQL(capped, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,17 +224,20 @@ return p, f1, f2`
 			}
 		}
 
-		tres, err := text.ExecuteTBQL(query)
-		if err != nil {
-			t.Fatalf("%d shards text: %v", shards, err)
+		if want == nil {
+			ref, err := referenceRun(en, query)
+			if err != nil {
+				t.Fatalf("%d shards reference: %v", shards, err)
+			}
+			want = sortedRows(ref.Rows)
 		}
-		got, want := sortedRows(pres.Rows), sortedRows(tres.Rows)
+		got := sortedRows(pres.Rows)
 		if len(got) != len(want) {
-			t.Fatalf("%d shards: %d prepared rows, %d text", shards, len(got), len(want))
+			t.Fatalf("%d shards: %d prepared rows, %d reference", shards, len(got), len(want))
 		}
 		for r := range got {
 			if got[r] != want[r] {
-				t.Fatalf("%d shards row %d: prepared %q, text %q", shards, r, got[r], want[r])
+				t.Fatalf("%d shards row %d: prepared %q, reference %q", shards, r, got[r], want[r])
 			}
 		}
 	}
@@ -246,7 +250,7 @@ func TestPlanCacheLRUAndStats(t *testing.T) {
 	en.Plans = NewPlanCache(2)
 
 	run := func(src string) Stats {
-		res, err := en.ExecuteTBQL(src)
+		res, err := runTBQL(en, src)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, src)
 		}
@@ -289,15 +293,21 @@ func TestPlanCacheLRUAndStats(t *testing.T) {
 }
 
 // TestLazyDataQueries: the hot cursor path must not render data-query
-// text; DataQueries renders on demand and matches the text pipeline's
-// output exactly, propagated IN-lists included.
+// text; DataQueries renders on demand, propagated IN-lists included,
+// and the rendered text is what ran — executed on every shard of an
+// uncapped hunt's store, the texts fetch exactly Stats.RowsFetched rows.
 func TestLazyDataQueries(t *testing.T) {
-	en := leakageEngine(t, 500)
+	en, _ := newShardedEngine(t, 4,
+		gen.Config{Seed: 42, Host: "host1", BenignEvents: 500,
+			Attacks: []gen.Attack{{Kind: gen.AttackDataLeakage, At: 10 * time.Minute}}},
+		gen.Config{Seed: 43, Host: "host2", BenignEvents: 500,
+			Attacks: []gen.Attack{{Kind: gen.AttackDataLeakage, At: 20 * time.Minute}}},
+	)
 	src := `proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1
 proc p write file f2 as e2
 return p, f, f2`
 
-	cur, err := en.ExecuteTBQLCursor(src)
+	cur, err := openTBQL(en, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,21 +325,25 @@ return p, f, f2`
 	if cur.Stats().DataQueries == nil {
 		t.Fatal("DataQueries not memoized into stats")
 	}
-
-	text := &Engine{Rel: en.Rel, Graph: en.Graph, UseTextCompile: true}
-	tres, err := text.ExecuteTBQL(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tres.Stats.DataQueries) != len(rendered) {
-		t.Fatalf("text pipeline ran %d queries, rendered %d", len(tres.Stats.DataQueries), len(rendered))
-	}
-	for i := range rendered {
-		if rendered[i] != tres.Stats.DataQueries[i] {
-			t.Errorf("query %d:\nprepared render: %s\ntext pipeline:   %s", i, rendered[i], tres.Stats.DataQueries[i])
-		}
-	}
 	if !strings.Contains(rendered[1], "IN (") {
 		t.Errorf("propagated constraint missing from rendered query: %s", rendered[1])
+	}
+
+	st := cur.Stats()
+	if st.FetchCapped || st.RowsFetched == 0 {
+		t.Fatalf("fixture hunt stats = %+v; want an uncapped hunt that fetched rows", st)
+	}
+	fetched := 0
+	for _, text := range rendered {
+		for sh := 0; sh < en.Rel.NumShards(); sh++ {
+			rr, err := en.Rel.Shard(sh).Query(text)
+			if err != nil {
+				t.Fatalf("shard %d: %v\n%s", sh, err, text)
+			}
+			fetched += len(rr.Data)
+		}
+	}
+	if fetched != st.RowsFetched {
+		t.Errorf("rendered queries fetch %d rows across shards, the hunt fetched %d", fetched, st.RowsFetched)
 	}
 }

@@ -66,7 +66,7 @@ func TestRandomQueriesExecute(t *testing.T) {
 
 		var counts []int
 		for mi, en := range modes {
-			res, err := en.ExecuteTBQL(src)
+			res, err := runTBQL(en, src)
 			if err != nil {
 				t.Fatalf("case %d mode %d: %v\n%s", i, mi, err, src)
 			}
@@ -78,33 +78,21 @@ func TestRandomQueriesExecute(t *testing.T) {
 	}
 }
 
-// TestStreamingJoinMatchesNaive is the equivalence property test for
-// the streaming hash-join executor: every randomly composed query —
+// TestStreamingJoinMatchesReference is the equivalence property test
+// for the streaming hash-join executor: every randomly composed query —
 // including temporal relations, attribute relations (literal and
 // event-to-event), path patterns, and distinct/non-distinct projections
-// — must produce the identical sorted result set under the streaming
-// join and the legacy naive nested-loop join, in every scheduling mode.
-func TestStreamingJoinMatchesNaive(t *testing.T) {
+// — must produce the identical match count and sorted row set as the
+// reference evaluator (reference_test.go), in every scheduling mode.
+func TestStreamingJoinMatchesReference(t *testing.T) {
 	base := leakageEngine(t, 1500)
 	modes := []struct {
-		name          string
-		stream, naive *Engine
+		name   string
+		stream *Engine
 	}{
-		{
-			"scheduled",
-			&Engine{Rel: base.Rel, Graph: base.Graph},
-			&Engine{Rel: base.Rel, Graph: base.Graph, UseNaiveJoin: true},
-		},
-		{
-			"textual-order",
-			&Engine{Rel: base.Rel, Graph: base.Graph, DisableScheduling: true},
-			&Engine{Rel: base.Rel, Graph: base.Graph, DisableScheduling: true, UseNaiveJoin: true},
-		},
-		{
-			"static-order",
-			&Engine{Rel: base.Rel, Graph: base.Graph, DisableCostOptimizer: true},
-			&Engine{Rel: base.Rel, Graph: base.Graph, DisableCostOptimizer: true, UseNaiveJoin: true},
-		},
+		{"scheduled", &Engine{Rel: base.Rel, Graph: base.Graph}},
+		{"textual-order", &Engine{Rel: base.Rel, Graph: base.Graph, DisableScheduling: true}},
+		{"static-order", &Engine{Rel: base.Rel, Graph: base.Graph, DisableCostOptimizer: true}},
 	}
 
 	rng := rand.New(rand.NewSource(1234))
@@ -185,27 +173,28 @@ func TestStreamingJoinMatchesNaive(t *testing.T) {
 		b.WriteString("return " + distinct + strings.Join(ret, ", "))
 		src := b.String()
 
+		ref, err := referenceRun(base, src)
+		if err != nil {
+			t.Fatalf("case %d reference: %v\n%s", i, err, src)
+		}
+		want := sortedRows(ref.Rows)
 		for _, mode := range modes {
-			sres, err := mode.stream.ExecuteTBQL(src)
+			sres, err := runTBQL(mode.stream, src)
 			if err != nil {
 				t.Fatalf("case %d %s streaming: %v\n%s", i, mode.name, err, src)
 			}
-			nres, err := mode.naive.ExecuteTBQL(src)
-			if err != nil {
-				t.Fatalf("case %d %s naive: %v\n%s", i, mode.name, err, src)
+			if len(sres.Matches) != len(ref.Matches) {
+				t.Fatalf("case %d %s: %d streaming matches, %d reference\n%s",
+					i, mode.name, len(sres.Matches), len(ref.Matches), src)
 			}
-			if len(sres.Matches) != len(nres.Matches) {
-				t.Fatalf("case %d %s: %d streaming matches, %d naive\n%s",
-					i, mode.name, len(sres.Matches), len(nres.Matches), src)
-			}
-			got, want := sortedRows(sres.Rows), sortedRows(nres.Rows)
+			got := sortedRows(sres.Rows)
 			if len(got) != len(want) {
-				t.Fatalf("case %d %s: %d streaming rows, %d naive\n%s",
+				t.Fatalf("case %d %s: %d streaming rows, %d reference\n%s",
 					i, mode.name, len(got), len(want), src)
 			}
 			for r := range got {
 				if got[r] != want[r] {
-					t.Fatalf("case %d %s row %d: streaming %q, naive %q\n%s",
+					t.Fatalf("case %d %s row %d: streaming %q, reference %q\n%s",
 						i, mode.name, r, got[r], want[r], src)
 				}
 			}
@@ -381,11 +370,11 @@ func TestShardEquivalence(t *testing.T) {
 		src := b.String()
 
 		for _, mode := range modes {
-			ores, err := mode.one.ExecuteTBQL(src)
+			ores, err := runTBQL(mode.one, src)
 			if err != nil {
 				t.Fatalf("case %d %s 1-shard: %v\n%s", i, mode.name, err, src)
 			}
-			mres, err := mode.many.ExecuteTBQL(src)
+			mres, err := runTBQL(mode.many, src)
 			if err != nil {
 				t.Fatalf("case %d %s %d-shard: %v\n%s", i, mode.name, nShards, err, src)
 			}
@@ -427,7 +416,7 @@ func TestShardPruning(t *testing.T) {
 	)
 
 	// Unpruned: one fetch per shard.
-	res, err := en.ExecuteTBQL("proc p read file f as e1\nreturn p, f")
+	res, err := runTBQL(en, "proc p read file f as e1\nreturn p, f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +426,7 @@ func TestShardPruning(t *testing.T) {
 
 	// Host-pinned: exactly one shard fetch, same rows as the unpruned
 	// host filter evaluated everywhere.
-	res, err = en.ExecuteTBQL(`proc p[host = "host1" && "%/bin/tar%"] read file f as e1` + "\nreturn p, f")
+	res, err = runTBQL(en, `proc p[host = "host1" && "%/bin/tar%"] read file f as e1`+"\nreturn p, f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +438,7 @@ func TestShardPruning(t *testing.T) {
 	}
 
 	// Contradictory hosts: short-circuit with no fetches at all.
-	res, err = en.ExecuteTBQL(`proc p[host = "host1"] read file f[host = "host2"] as e1` + "\nreturn p, f")
+	res, err = runTBQL(en, `proc p[host = "host1"] read file f[host = "host2"] as e1`+"\nreturn p, f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +459,7 @@ func TestShardPruning(t *testing.T) {
 func TestPropagationCap(t *testing.T) {
 	en := leakageEngine(t, 2000)
 	en.MaxPropagatedIDs = 1 // nothing qualifies beyond single-candidate sets
-	res, err := en.ExecuteTBQL(fig2TBQL)
+	res, err := runTBQL(en, fig2TBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +471,7 @@ func TestPropagationCap(t *testing.T) {
 // TestNegatedOps: !read on a narrow file set.
 func TestNegatedOps(t *testing.T) {
 	en := leakageEngine(t, 0)
-	res, err := en.ExecuteTBQL(`proc p["%/bin/tar%"] !read file f as e1
+	res, err := runTBQL(en, `proc p["%/bin/tar%"] !read file f as e1
 return distinct f`)
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +486,7 @@ return distinct f`)
 // hop.
 func TestMultiOpDisjunctionPath(t *testing.T) {
 	en := leakageEngine(t, 0)
-	res, err := en.ExecuteTBQL(`proc p["%/usr/sbin/apache2%"] ~>(1~4)[read || write] file f["%upload%"] as e1
+	res, err := runTBQL(en, `proc p["%/usr/sbin/apache2%"] ~>(1~4)[read || write] file f["%upload%"] as e1
 return distinct f`)
 	if err != nil {
 		t.Fatal(err)

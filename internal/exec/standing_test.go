@@ -137,7 +137,7 @@ func TestStandingHuntIncrementalEquivalence(t *testing.T) {
 			t.Fatalf("query %d: advance over an unchanged store emitted %d rows\n%s",
 				i, len(again.Rows), queries[i])
 		}
-		res, err := en.ExecuteTBQL(queries[i])
+		res, err := runTBQL(en, queries[i])
 		if err != nil {
 			t.Fatalf("re-execution %d: %v\n%s", i, err, queries[i])
 		}

@@ -4,11 +4,11 @@ import (
 	"repro/internal/tbql"
 )
 
-// This file implements the streaming hash-join executor. The legacy
-// nested-loop join (engine.go, behind Engine.UseNaiveJoin) materialized
-// every match up front, cloned two maps per explored candidate, and
-// re-scanned the full temporal/attribute relation list at every join
-// level. The streaming executor replaces all three costs:
+// This file implements the streaming hash-join executor. A plain
+// nested-loop join (the test-only reference in reference_test.go)
+// materializes every match up front, clones two maps per explored
+// candidate, and re-scans the full temporal/attribute relation list at
+// every join level. The streaming executor avoids all three costs:
 //
 //   - Bindings are slot-based: tbql.Analyze assigns dense integer slots
 //     to entity variables (first-use order) and event patterns (textual
@@ -121,8 +121,8 @@ func planJoin(q *tbql.Query, order []int) *joinPlan {
 
 // levelIndex is the hash index probed when entering a join level. The
 // kind selects which entity sides key the index; candidate lists keep
-// fetched-row order, so the streaming walk emits matches in exactly the
-// order the legacy nested loop materialized them.
+// fetched-row order, so the streaming walk emits matches in a
+// deterministic order for a given store.
 type levelIndex struct {
 	kind byte // 'b' both sides bound, 's' subject, 'o' object, 'x' scan
 	both map[[2]int64][]int32
@@ -305,9 +305,9 @@ func (s *matchStream) Next() bool {
 			if !ok {
 				continue
 			}
-			// Bind entity slots in subject-then-object order, matching the
-			// legacy join's overwrite semantics when both sides share one
-			// variable. Slots already bound hold the same value, so no
+			// Bind entity slots in subject-then-object order (the object
+			// wins when both sides share one variable, as in the reference
+			// join). Slots already bound hold the same value, so no
 			// undo is needed when backtracking.
 			s.entities[lv.subjSlot] = r.SrcID
 			s.entities[lv.objSlot] = r.DstID

@@ -72,7 +72,7 @@ func drain(t *testing.T, cur *Cursor) [][]string {
 // while it is open, and Close stays idempotent.
 func TestCursorDoesNotBlockWriters(t *testing.T) {
 	en := leakageEngine(t, 300)
-	cur, err := en.ExecuteTBQLCursor(wideTBQL)
+	cur, err := openTBQL(en, wideTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCursorDoesNotBlockWriters(t *testing.T) {
 	expectPrompt(t, done)
 
 	// Same for a path-pattern cursor holding a graph mark.
-	pcur, err := en.ExecuteTBQLCursor(pathTBQL)
+	pcur, err := openTBQL(en, pathTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestCursorDoesNotBlockWriters(t *testing.T) {
 // design removes.
 func TestCursorEpochIsolation(t *testing.T) {
 	en := leakageEngine(t, 300)
-	want, err := en.ExecuteTBQL(wideTBQL)
+	want, err := runTBQL(en, wideTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cur, err := en.ExecuteTBQLCursor(wideTBQL)
+	cur, err := openTBQL(en, wideTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCursorEpochIsolation(t *testing.T) {
 	}
 
 	// A cursor created after the commit sees the new rows.
-	after, err := en.ExecuteTBQL(wideTBQL)
+	after, err := runTBQL(en, wideTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCursorEpochIsolation(t *testing.T) {
 // cursor — graph edges committed after its mark stay invisible.
 func TestCursorEpochIsolationGraph(t *testing.T) {
 	en := leakageEngine(t, 300)
-	want, err := en.ExecuteTBQL(pathTBQL)
+	want, err := runTBQL(en, pathTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCursorEpochIsolationGraph(t *testing.T) {
 		t.Fatal("no path rows; fixture broken")
 	}
 
-	cur, err := en.ExecuteTBQLCursor(pathTBQL)
+	cur, err := openTBQL(en, pathTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestCursorEpochIsolationGraph(t *testing.T) {
 		t.Fatalf("pinned path cursor saw %d rows, epoch match set has %d", len(got), len(want.Rows))
 	}
 
-	after, err := en.ExecuteTBQL(pathTBQL)
+	after, err := runTBQL(en, pathTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,8 @@ func TestCursorEpochIsolationGraph(t *testing.T) {
 // already dropped.
 func TestCursorShortCircuitNeedsNoSnapshot(t *testing.T) {
 	en := leakageEngine(t, 300)
-	cur, err := en.ExecuteTBQLCursor(`proc p["%no-such-binary%"] read file f as e1
-return p, f`)
+	cur, err := openTBQL(en, `proc p["%no-such-binary%"] read file f as e1
+return p, f`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +272,11 @@ func shardedStreamEngine(t *testing.T) (en *Engine, shardA, shardB int) {
 // remaining pages still reflect only its own epoch.
 func TestShardedCursorBlocksNoShard(t *testing.T) {
 	en, shardA, shardB := shardedStreamEngine(t)
-	want, err := en.ExecuteTBQL(wideTBQL)
+	want, err := runTBQL(en, wideTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := en.ExecuteTBQLCursor(wideTBQL)
+	cur, err := openTBQL(en, wideTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,11 @@ func TestShardedCursorHostPruned(t *testing.T) {
 	en, shardA, shardB := shardedStreamEngine(t)
 	const prunedTBQL = `proc p[host = "host1"] read || write file f as e1
 return p, f`
-	want, err := en.ExecuteTBQL(prunedTBQL)
+	want, err := runTBQL(en, prunedTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := en.ExecuteTBQLCursor(prunedTBQL)
+	cur, err := openTBQL(en, prunedTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestPropagationsSkippedCounted(t *testing.T) {
 	// 8 workers share the p variable, so the propagated candidate set
 	// has 8 IDs: under a cap of 4 it must be dropped and counted.
 	en := fanoutEngine(t, 8, 4, 4)
-	full, err := en.ExecuteTBQL(fanoutTBQL)
+	full, err := runTBQL(en, fanoutTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestPropagationsSkippedCounted(t *testing.T) {
 	}
 
 	en.MaxPropagatedIDs = 4
-	capped, err := en.ExecuteTBQL(fanoutTBQL)
+	capped, err := runTBQL(en, fanoutTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestExplainPropagated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps, err := en.Explain(parsed)
+	eps, err := en.Explain(nil, parsed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestExplainPropagated(t *testing.T) {
 	}
 
 	en.DisablePropagation = true
-	eps, err = en.Explain(parsed)
+	eps, err = en.Explain(nil, parsed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestExplainPropagated(t *testing.T) {
 // point.
 func TestCursorLazyJoinWork(t *testing.T) {
 	en := fanoutEngine(t, 8, 16, 16) // 8*16*16 = 2048 matches
-	cur, err := en.ExecuteTBQLCursor(fanoutTBQL)
+	cur, err := openTBQL(en, fanoutTBQL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestCursorLazyJoinWork(t *testing.T) {
 	firstPage := cur.Stats().JoinCandidates
 	cur.Close()
 
-	res, err := en.ExecuteTBQL(fanoutTBQL)
+	res, err := runTBQL(en, fanoutTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,7 @@ type cursorEntry struct {
 	mu     sync.Mutex
 	cur    *threatraptor.Cursor
 	closed bool
-	// pending queues rows already pulled from the cursor but not yet
-	// served: the look-ahead row each page consumes to learn more rows
-	// remain, plus — after a page whose deadline fired or whose client
-	// disconnected — the partial page stashed for the retry, so an
-	// interrupted page loses no rows.
-	pending [][]string
-	// offset is the index of the next row to serve.
-	offset int
+	pageState
 
 	// pageCancel, when set, aborts the page read currently inside mu.
 	// It is guarded by its own cancelMu — NOT mu — because eviction
@@ -53,6 +46,16 @@ type cursorEntry struct {
 	// lastUsed are guarded by the manager's lock.
 	elem     *list.Element
 	lastUsed time.Time
+}
+
+// pageState is a cursor's paging position between pages.
+type pageState struct {
+	// pending queues rows pulled from the cursor but not yet served: the
+	// look-ahead row of the last page, plus any partial page an
+	// interrupt stashed for the retry.
+	pending [][]string
+	// offset is the index of the next row to serve.
+	offset int
 }
 
 // setPageCancel installs (or, with nil, clears) the cancel hook for the
@@ -123,17 +126,17 @@ func newCursorID() string {
 }
 
 // put registers a cursor that has more rows pending and returns its id.
-// pending is the look-ahead row the first page consumed; offset indexes
-// it. The new cursor's epoch is pinned, expired entries are swept, and
-// the least-recently-used entries beyond the cap are evicted.
-func (m *cursorManager) put(cur *threatraptor.Cursor, pending []string, offset int) string {
+// page is the paging position after the first page: the look-ahead row
+// that page consumed, queued, and the offset indexing it. The new
+// cursor's epoch is pinned, expired entries are swept, and the
+// least-recently-used entries beyond the cap are evicted.
+func (m *cursorManager) put(cur *threatraptor.Cursor, page pageState) string {
 	e := &cursorEntry{
-		id:      newCursorID(),
-		epoch:   cur.Epoch(),
-		created: m.now(),
-		cur:     cur,
-		pending: [][]string{pending},
-		offset:  offset,
+		id:        newCursorID(),
+		epoch:     cur.Epoch(),
+		created:   m.now(),
+		cur:       cur,
+		pageState: page,
 	}
 	m.reg.Pin(e.epoch)
 

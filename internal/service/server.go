@@ -381,33 +381,43 @@ func (s *Server) admitHunt(w http.ResponseWriter) (release func(), ok bool) {
 	}
 }
 
-// writeHuntAbort classifies a hunt lifecycle error — deadline, join
-// budget, operator kill, client disconnect — bumps the matching
-// counter, annotates the trace with an "aborted" span, and writes the
-// response (a timed-out hunt still gets its partial span breakdown).
-// It reports whether err was a lifecycle abort; any other error is left
-// to the caller's ordinary mapping.
-func (s *Server) writeHuntAbort(w http.ResponseWriter, ctx context.Context, err error, tr *obs.Trace) bool {
-	if err == nil {
-		return false
-	}
-	var status int
+// abortStatus maps a hunt lifecycle error to its HTTP status and bumps
+// the matching counter: a deadline is 504, a join budget 422, and a
+// cancellation 503 when the kill switch caused it, 410 when eviction
+// took the page's cursor away (no counter: the hunt did not fail), and
+// 499 — a client disconnect — otherwise. Any other error maps to 0 and
+// is left to the caller.
+func (s *Server) abortStatus(ctx context.Context, err error) int {
 	switch {
 	case errors.Is(err, exec.ErrHuntDeadline):
-		status = http.StatusGatewayTimeout
 		s.huntsTimedOut.Add(1)
+		return http.StatusGatewayTimeout
 	case errors.Is(err, exec.ErrJoinBudget):
-		status = http.StatusUnprocessableEntity
 		s.huntsBudget.Add(1)
-	case errors.Is(err, exec.ErrHuntCancelled):
-		if errors.Is(context.Cause(ctx), errHuntKilled) {
-			status = http.StatusServiceUnavailable
-			s.huntsKilled.Add(1)
-		} else {
-			status = statusClientClosedRequest
-			s.huntsCancelled.Add(1)
-		}
+		return http.StatusUnprocessableEntity
+	case !errors.Is(err, exec.ErrHuntCancelled):
+		return 0
+	}
+	switch cause := context.Cause(ctx); {
+	case errors.Is(cause, errCursorEvicted):
+		return http.StatusGone
+	case errors.Is(cause, errHuntKilled):
+		s.huntsKilled.Add(1)
+		return http.StatusServiceUnavailable
 	default:
+		s.huntsCancelled.Add(1)
+		return statusClientClosedRequest
+	}
+}
+
+// writeHuntAbort answers a hunt or explain request that a lifecycle
+// error aborted (abortStatus), annotating the trace with an "aborted"
+// span so even a timed-out hunt gets its partial span breakdown. It
+// reports whether err was a lifecycle abort; any other error is left to
+// the caller's ordinary mapping.
+func (s *Server) writeHuntAbort(w http.ResponseWriter, ctx context.Context, err error, tr *obs.Trace) bool {
+	status := s.abortStatus(ctx, err)
+	if status == 0 {
 		return false
 	}
 	sp := tr.Begin("aborted", -1)
@@ -596,13 +606,8 @@ func (s *Server) huntRequest(w http.ResponseWriter, r *http.Request) (HuntReques
 	if req.Limit < 0 || req.Offset < 0 {
 		return req, http.StatusBadRequest, fmt.Errorf("limit and offset must be non-negative")
 	}
-	if req.Limit > s.cfg.MaxPage {
-		return req, http.StatusBadRequest,
-			fmt.Errorf("limit %d exceeds the maximum page size %d; page with cursor_id or next_offset instead",
-				req.Limit, s.cfg.MaxPage)
-	}
-	if req.Limit == 0 {
-		req.Limit = min(DefaultHuntLimit, s.cfg.MaxPage)
+	if req.Limit, err = s.pageLimit(req.Limit); err != nil {
+		return req, http.StatusBadRequest, fmt.Errorf("%v; page with cursor_id or next_offset instead", err)
 	}
 	if strings.TrimSpace(req.Query) == "" {
 		return req, http.StatusBadRequest, fmt.Errorf("empty TBQL query")
@@ -610,10 +615,54 @@ func (s *Server) huntRequest(w http.ResponseWriter, r *http.Request) (HuntReques
 	return req, 0, nil
 }
 
-// toHuntStats maps engine cursor stats into the response shape.
-func toHuntStats(cur *threatraptor.Cursor) HuntStats {
+// pageLimit validates a requested page size against MaxPage, the one
+// bound POST /hunt and GET /hunt/next share; 0 selects the default
+// page size (DefaultHuntLimit, clamped to MaxPage).
+func (s *Server) pageLimit(n int) (int, error) {
+	if n > s.cfg.MaxPage {
+		return 0, fmt.Errorf("limit %d exceeds the maximum page size %d", n, s.cfg.MaxPage)
+	}
+	if n == 0 {
+		n = min(DefaultHuntLimit, s.cfg.MaxPage)
+	}
+	return n, nil
+}
+
+// serve reads one page of at most limit rows from cur: the one paging
+// path of POST /hunt and GET /hunt/next. Queued rows go first, then
+// fresh rows, then — when the page filled from the cursor — one
+// look-ahead row, queued as the next page's first, tells whether more
+// remain. A deadline or cancellation stashes the partial page back on
+// the queue with the offset unmoved, so a retry re-serves exactly these
+// rows. Row guarantees each row is freshly allocated, so rows are kept
+// without copying. Stats are read after the look-ahead.
+func (p *pageState) serve(cur *threatraptor.Cursor, limit int) (resp HuntResponse, more bool, err error) {
+	rows := make([][]string, 0, min(limit, 64))
+	for len(rows) < limit && len(p.pending) > 0 {
+		rows = append(rows, p.pending[0])
+		p.pending = p.pending[1:]
+	}
+	for len(rows) < limit && cur.Next() {
+		rows = append(rows, cur.Row())
+	}
+	more = len(p.pending) > 0
+	if !more && len(rows) == limit && cur.Next() {
+		p.pending = append(p.pending, cur.Row())
+		more = true
+	}
+	resp = HuntResponse{Columns: cur.Columns(), Rows: rows, Offset: p.offset, Count: len(rows),
+		Epoch: uint64(cur.Epoch())}
+	if err = cur.Err(); errors.Is(err, exec.ErrHuntCancelled) || errors.Is(err, exec.ErrHuntDeadline) {
+		p.pending = append(rows, p.pending...)
+	} else {
+		p.offset += len(rows)
+	}
+	if more {
+		next := p.offset
+		resp.NextOffset = &next
+	}
 	st := cur.Stats()
-	return HuntStats{
+	resp.Stats = HuntStats{
 		RowsFetched:         st.RowsFetched,
 		Propagations:        st.Propagations,
 		PropagationsSkipped: st.PropagationsSkipped,
@@ -626,6 +675,7 @@ func toHuntStats(cur *threatraptor.Cursor) HuntStats {
 		Reordered:           st.Reordered,
 		FetchCapped:         st.FetchCapped,
 	}
+	return resp, more, err
 }
 
 // handleHunt executes TBQL source and returns one page of projected
@@ -720,53 +770,34 @@ func (s *Server) handleHunt(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	// Row guarantees each projected row is freshly allocated and
-	// unaliased, so it can be retained without copying.
-	rows := make([][]string, 0, min(req.Limit, 64))
-	for len(rows) < req.Limit && cur.Next() {
-		rows = append(rows, cur.Row())
-	}
+	page := pageState{offset: req.Offset}
+	resp, more, err := page.serve(cur, req.Limit)
 	tr.End(pageSp)
-	st := toHuntStats(cur)
-	s.propSkipped.Add(int64(st.PropagationsSkipped))
-	if st.Reordered {
+	s.propSkipped.Add(int64(resp.Stats.PropagationsSkipped))
+	if resp.Stats.Reordered {
 		s.optReorders.Add(1)
 	}
-	resp := HuntResponse{
-		Columns: cur.Columns(),
-		Rows:    rows,
-		Offset:  req.Offset,
-		Count:   len(rows),
-		Epoch:   uint64(cur.Epoch()),
-		Stats:   st,
-	}
-	more := cur.Next() // one row beyond the page: more remain
 	// The join runs lazily inside the cursor, so an iteration error can
 	// surface mid-page; report it instead of a truncated row set.
-	if err := cur.Err(); err != nil {
+	if err != nil {
 		if s.writeHuntAbort(w, hctx, err, tr) {
 			return
 		}
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if more {
-		next := req.Offset + len(rows)
-		resp.NextOffset = &next
-		resp.Stats.JoinCandidates = toHuntStats(cur).JoinCandidates
-		// Register the cursor — with the consumed look-ahead row as the
-		// next page's first row — so GET /hunt/next pages this one
-		// execution; from here the registry owns Close. A request with a
-		// non-zero offset is a client already paging statelessly
-		// (re-executing per page): registering its cursor every page
-		// would churn the LRU registry and evict other analysts' live
-		// cursors, so only offset-0 hunts register. A no_cursor or
-		// fetch-capped hunt cannot register either — its fetch stopped
-		// at the page bound, so later pages re-execute via next_offset.
-		if req.Offset == 0 && !req.NoCursor && !st.FetchCapped {
-			resp.CursorID = s.cursors.put(cur, cur.Row(), next)
-			registered = true
-		}
+	// Register the cursor — with the consumed look-ahead row queued as
+	// the next page's first row — so GET /hunt/next pages this one
+	// execution; from here the registry owns Close. A request with a
+	// non-zero offset is a client already paging statelessly
+	// (re-executing per page): registering its cursor every page would
+	// churn the LRU registry and evict other analysts' live cursors, so
+	// only offset-0 hunts register. A no_cursor or fetch-capped hunt
+	// cannot register either — its fetch stopped at the page bound, so
+	// later pages re-execute via next_offset.
+	if more && req.Offset == 0 && !req.NoCursor && !resp.Stats.FetchCapped {
+		resp.CursorID = s.cursors.put(cur, page)
+		registered = true
 	}
 	resp.Trace = tr.JSON()
 	elapsed := time.Since(start)
@@ -776,7 +807,7 @@ func (s *Server) handleHunt(w http.ResponseWriter, r *http.Request) {
 			"request_id", rid,
 			"fingerprint", obs.Fingerprint(req.Query),
 			"dur_ms", elapsed.Milliseconds(),
-			"rows", len(rows),
+			"rows", resp.Count,
 			"epoch", resp.Epoch,
 			"spans", tr.Breakdown(),
 		)
@@ -801,19 +832,19 @@ func (s *Server) handleHuntNext(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing cursor parameter")
 		return
 	}
-	limit := min(DefaultHuntLimit, s.cfg.MaxPage)
+	limit := 0
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
 			writeError(w, http.StatusBadRequest, "bad limit %q", raw)
 			return
 		}
-		if n > s.cfg.MaxPage {
-			writeError(w, http.StatusBadRequest,
-				"limit %d exceeds the maximum page size %d", n, s.cfg.MaxPage)
-			return
-		}
 		limit = n
+	}
+	limit, err := s.pageLimit(limit)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	e := s.cursors.acquire(id)
 	if e == nil {
@@ -845,84 +876,35 @@ func (s *Server) handleHuntNext(w http.ResponseWriter, r *http.Request) {
 	// iterating (this also clears a previous page's interrupt so a
 	// timed-out cursor resumes cleanly).
 	e.cur.SetContext(hctx)
-	pageStart := e.offset
-	rows := make([][]string, 0, min(limit, 64))
-	// Serve queued rows first: the look-ahead row the previous page
-	// consumed, plus any partial page stashed by an interrupted read.
-	for len(rows) < limit && len(e.pending) > 0 {
-		rows = append(rows, e.pending[0])
-		e.pending = e.pending[1:]
-	}
-	for len(rows) < limit && e.cur.Next() {
-		rows = append(rows, e.cur.Row())
-	}
-	more := len(e.pending) > 0
-	if !more && len(rows) == limit && e.cur.Next() {
-		// One row beyond the page decides whether more remain; it becomes
-		// the next page's first row.
-		e.pending = append(e.pending, e.cur.Row())
-		more = true
-	}
-	err := e.cur.Err()
-	if err != nil && (errors.Is(err, exec.ErrHuntCancelled) || errors.Is(err, exec.ErrHuntDeadline)) {
-		// Interrupted, not dead: stash the partial page so a retry
-		// re-serves exactly these rows, and leave the offset unmoved.
-		e.pending = append(rows, e.pending...)
-	} else {
-		e.offset = pageStart + len(rows)
-	}
-	st := toHuntStats(e.cur)
-	epoch := uint64(e.cur.Epoch())
-	cols := e.cur.Columns()
+	resp, more, err := e.serve(e.cur, limit)
 	e.mu.Unlock()
 
 	if err != nil {
-		cause := context.Cause(hctx)
-		switch {
-		case errors.Is(cause, errCursorEvicted):
-			// The LRU (or an explicit close) took the cursor out from under
-			// this page; it is already detached and closed.
-			writeError(w, http.StatusGone, "cursor %q evicted mid-page; re-run the hunt", id)
-		case errors.Is(cause, errHuntKilled):
-			s.huntsKilled.Add(1)
-			s.cursors.remove(id)
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, exec.ErrHuntDeadline):
+		switch status := s.abortStatus(hctx, err); status {
+		case http.StatusGone:
+			// Eviction (or an explicit close) took the cursor out from
+			// under this page; it is already detached and closed.
+			writeError(w, status, "cursor %q evicted mid-page; re-run the hunt", id)
+		case http.StatusGatewayTimeout, statusClientClosedRequest:
 			// Resumable: the partial page is queued, so retrying this
 			// request serves it with no rows lost or repeated.
-			s.huntsTimedOut.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "%v; cursor %q remains resumable", err, id)
-		case errors.Is(err, exec.ErrHuntCancelled):
-			s.huntsCancelled.Add(1)
-			writeError(w, statusClientClosedRequest, "%v; cursor %q remains resumable", err, id)
-		case errors.Is(err, exec.ErrJoinBudget):
-			s.huntsBudget.Add(1)
-			s.cursors.remove(id)
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			writeError(w, status, "%v; cursor %q remains resumable", err, id)
 		default:
+			if status == 0 {
+				status = http.StatusInternalServerError
+			}
 			s.cursors.remove(id)
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			writeError(w, status, "%v", err)
 		}
 		return
 	}
-	if !more {
+	if more {
+		resp.CursorID = id
+	} else {
 		// Exhausted: close and forget the cursor, releasing its epoch pin.
 		s.cursors.remove(id)
 	}
 	s.cursors.pages.Add(1)
-	resp := HuntResponse{
-		Columns: cols,
-		Rows:    rows,
-		Offset:  pageStart,
-		Count:   len(rows),
-		Epoch:   epoch,
-		Stats:   st,
-	}
-	if more {
-		next := pageStart + len(rows)
-		resp.NextOffset = &next
-		resp.CursorID = id
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1008,7 +990,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	patterns, err := s.sys.ExplainTraceCtx(hctx, q, tr)
+	patterns, err := s.sys.Explain(hctx, q, tr)
 	if err != nil {
 		if s.writeHuntAbort(w, hctx, err, tr) {
 			return

@@ -115,7 +115,11 @@ func TestDaemonRoundTrip(t *testing.T) {
 			t.Errorf("row %d: daemon %v != Result %v", i, hr.Rows[i], res.Rows[i])
 		}
 	}
-	cur, err := sys.HuntCursor(crackTBQL)
+	q, err := sys.ParseQuery(crackTBQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := sys.HuntQueryCursor(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func BenchmarkIngestParallelSharded(b *testing.B) {
 								return
 							default:
 							}
-							cur, err := sys.HuntCursor(hostHunt)
+							cur, err := huntCursor(sys, hostHunt)
 							if err != nil {
 								b.Error(err)
 								return

@@ -84,7 +84,11 @@ const (
 	EntityNetConnType = audit.EntityNetConn
 )
 
-// Options configures a System.
+// Options configures a System. Every field is a production setting, one
+// of the paper's ablations (DisableScheduling, DisablePropagation) or
+// an escape hatch (DisableCostOptimizer). The correctness baseline that
+// hunts are tested against is a test-only reference evaluator in
+// internal/exec; no option selects it.
 type Options struct {
 	// CPR applies Causality Preserved Reduction before storage, merging
 	// excessive events between the same entity pair.
@@ -103,10 +107,6 @@ type Options struct {
 	// stats and fetch-side row caps. Hunts then run in the static
 	// pruning-score order (escape hatch and ablation baseline).
 	DisableCostOptimizer bool
-	// UseNaiveJoin replaces the streaming hash join with the legacy
-	// materializing nested-loop join (correctness baseline for the
-	// equivalence tests and allocation benchmarks).
-	UseNaiveJoin bool
 	// MaxPropagatedIDs bounds the size of a propagated entity-ID
 	// constraint set (default exec.DefaultMaxPropagatedIDs = 25600);
 	// oversized candidate sets are dropped and counted in
@@ -261,7 +261,6 @@ func New(opts Options) (*System, error) {
 			DisableScheduling:    opts.DisableScheduling,
 			DisablePropagation:   opts.DisablePropagation,
 			DisableCostOptimizer: opts.DisableCostOptimizer,
-			UseNaiveJoin:         opts.UseNaiveJoin,
 			MaxPropagatedIDs:     opts.MaxPropagatedIDs,
 			MaxJoinRows:          opts.MaxJoinRows,
 			DisableTracing:       opts.DisableTracing,
@@ -588,68 +587,57 @@ func (s *System) ParseQuery(src string) (*Query, error) {
 	return tbql.Parse(src)
 }
 
-// Hunt parses and executes TBQL source against the stored audit data.
+// Hunt parses and executes TBQL source against the stored audit data,
+// materializing every row.
 func (s *System) Hunt(src string) (*HuntResult, error) {
-	return s.engine.ExecuteTBQL(src)
+	q, err := tbql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return s.HuntQuery(q)
 }
 
-// HuntQuery executes an analyzed TBQL query.
+// HuntQuery executes an analyzed TBQL query, materializing every row.
 func (s *System) HuntQuery(q *Query) (*HuntResult, error) {
 	return s.engine.Execute(q)
 }
 
-// HuntCursor parses and executes TBQL source, returning a cursor that
-// streams the projected rows instead of materializing Result.Rows —
-// the iterator API for paging through large match sets. The join runs
-// lazily inside the cursor, so reading the first page of a huge hunt
-// does first-page work. An open cursor pins an epoch snapshot of the
-// stores its query touches: every page reflects the ingest frontier at
-// creation time, and ingestion proceeds freely however long the cursor
-// lives. Close a cursor you do not fully drain to free its match state
-// and snapshot references.
-func (s *System) HuntCursor(src string) (*Cursor, error) {
-	return s.engine.ExecuteTBQLCursor(src)
-}
-
 // HuntQueryCursor executes an analyzed TBQL query, returning a cursor
-// over the projected rows. See HuntCursor for the laziness and Close
-// contract.
+// that streams the projected rows instead of materializing them — the
+// iterator API for paging through large match sets. It is
+// HuntQueryCursorCtx with no context, row bound, or caller trace.
 func (s *System) HuntQueryCursor(q *Query) (*Cursor, error) {
-	return s.engine.ExecuteCursor(q)
+	return s.HuntQueryCursorCtx(nil, q, 0, nil)
 }
 
-// HuntCursorLimit is HuntCursor with a row-need bound: the caller
-// promises to read at most limit rows (0 = unbounded). When the query
-// shape allows it, the engine pushes the bound into the per-shard data
-// queries as a fetch-side row cap, so a first-page hunt over a huge
-// table fetches page-scaled rows instead of the whole table. A capped
-// cursor (Stats().FetchCapped) must not be read past limit rows.
-func (s *System) HuntCursorLimit(src string, limit int) (*Cursor, error) {
-	return s.engine.ExecuteTBQLCursorLimit(src, limit)
-}
-
-// HuntQueryCursorLimit is HuntCursorLimit for an already analyzed
-// query — the path the daemon's query cache takes, skipping parse and
-// analysis on a cache hit. The query must not be mutated after being
-// shared; execution treats it as read-only.
-func (s *System) HuntQueryCursorLimit(q *Query, limit int) (*Cursor, error) {
-	return s.engine.ExecuteCursorLimit(q, limit)
-}
-
-// HuntQueryCursorTrace is HuntQueryCursorLimit recording the pipeline
-// stages into tr, so a caller that already traced earlier stages (the
-// daemon's parse and cache-lookup spans) gets one contiguous span tree
-// back from Cursor.Trace. A nil tr uses the engine default.
-func (s *System) HuntQueryCursorTrace(q *Query, limit int, tr *obs.Trace) (*Cursor, error) {
-	return s.engine.ExecuteCursorTrace(q, limit, tr)
-}
-
-// HuntQueryCursorCtx is HuntQueryCursorTrace under a lifecycle context:
-// cancelling ctx (a client disconnect, a deadline, an operator kill)
-// aborts the hunt's fetch waves and join walk within a bounded amount
-// of work, surfacing exec.ErrHuntCancelled / exec.ErrHuntDeadline.
+// HuntQueryCursorCtx executes an analyzed TBQL query, returning a cursor
+// over the projected rows. The join runs lazily inside the cursor, so
+// reading the first page of a huge hunt does first-page work. An open
+// cursor pins an epoch snapshot of the stores its query touches: every
+// page reflects the ingest frontier at creation time, and ingestion
+// proceeds freely however long the cursor lives. Close a cursor you do
+// not fully drain to free its match state and snapshot references.
+//
+//   - ctx (nil = never cancelled): cancelling it (a client disconnect,
+//     a deadline, an operator kill) aborts the hunt's fetch waves and
+//     join walk within a bounded amount of work, surfacing
+//     exec.ErrHuntCancelled / exec.ErrHuntDeadline.
+//   - limit is a row-need bound: the caller promises to read at most
+//     limit rows (0 = unbounded). When the query shape allows it, the
+//     engine pushes the bound into the per-shard data queries as a
+//     fetch-side row cap, so a first-page hunt over a huge table fetches
+//     page-scaled rows instead of the whole table. A capped cursor
+//     (Stats().FetchCapped) must not be read past limit rows.
+//   - tr receives the pipeline stages, so a caller that already traced
+//     earlier stages (the daemon's parse and cache-lookup spans) gets
+//     one contiguous span tree back from Cursor.Trace. A nil tr uses the
+//     engine default.
+//
+// The query must not be mutated after being shared; execution treats
+// it as read-only, so the daemon's query cache hands one analyzed query
+// to concurrent hunts.
 func (s *System) HuntQueryCursorCtx(ctx context.Context, q *Query, limit int, tr *obs.Trace) (*Cursor, error) {
-	return s.engine.ExecuteCursorCtx(ctx, q, limit, tr)
+	return s.engine.ExecuteCursor(ctx, q, limit, tr)
 }
 
 // HuntReport is the end-to-end pipeline: extract the threat behavior
@@ -668,23 +656,13 @@ func (s *System) HuntReport(report string, plan *SynthPlan) (*Query, *HuntResult
 }
 
 // Explain compiles and scores every pattern of a query without executing
-// it, in the order the engine would schedule them.
-func (s *System) Explain(q *Query) ([]exec.ExplainedPattern, error) {
-	return s.engine.Explain(q)
-}
-
-// ExplainTrace is Explain recording its stages as spans on tr (nil
-// records nothing).
-func (s *System) ExplainTrace(q *Query, tr *obs.Trace) ([]exec.ExplainedPattern, error) {
-	return s.engine.ExplainTrace(q, tr)
-}
-
-// ExplainTraceCtx is ExplainTrace honoring a lifecycle context. Explain
-// runs no data queries — it estimates and compiles only — so the
-// context is checked once at entry; a caller whose deadline already
-// fired gets exec.ErrHuntDeadline instead of an explanation.
-func (s *System) ExplainTraceCtx(ctx context.Context, q *Query, tr *obs.Trace) ([]exec.ExplainedPattern, error) {
-	return s.engine.ExplainTraceCtx(ctx, q, tr)
+// it, in the order the engine would schedule them, recording its stages
+// as spans on tr (nil records nothing). Explain runs no data queries —
+// it estimates and compiles only — so ctx (nil = never cancelled) is
+// checked once at entry; a caller whose deadline already fired gets
+// exec.ErrHuntDeadline instead of an explanation.
+func (s *System) Explain(ctx context.Context, q *Query, tr *obs.Trace) ([]exec.ExplainedPattern, error) {
+	return s.engine.Explain(ctx, q, tr)
 }
 
 // NumEvents reports how many events are stored.

@@ -115,7 +115,7 @@ func TestConcurrentHuntDuringIngest(t *testing.T) {
 		go func(h int) {
 			defer wg.Done()
 			for i := 0; i < huntsPerActor; i++ {
-				cur, err := sys.HuntCursor(concurrentCrackTBQL)
+				cur, err := huntCursor(sys, concurrentCrackTBQL)
 				if err != nil {
 					errs <- fmt.Errorf("cursor hunter %d: %w", h, err)
 					return
@@ -149,7 +149,7 @@ func TestConcurrentHuntDuringIngest(t *testing.T) {
 				errs <- err
 				return
 			}
-			eps, err := sys.Explain(q)
+			eps, err := sys.Explain(nil, q, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -257,7 +257,7 @@ func TestHuntCursorFacadeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := sys.HuntCursor(concurrentCrackTBQL)
+	cur, err := huntCursor(sys, concurrentCrackTBQL)
 	if err != nil {
 		t.Fatal(err)
 	}

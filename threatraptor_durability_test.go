@@ -456,7 +456,7 @@ func TestFacadeDurabilityAccessors(t *testing.T) {
 	full := drainCursor(t, cur)
 	// The same analyzed query re-executes (the query-cache path), here
 	// with a row bound.
-	curLim, err := sys.HuntQueryCursorLimit(q, len(full)+1)
+	curLim, err := sys.HuntQueryCursorCtx(nil, q, len(full)+1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

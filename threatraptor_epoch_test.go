@@ -24,7 +24,7 @@ func TestEpochAdvancesPerCommit(t *testing.T) {
 			t.Fatalf("after %d commits, epoch = %d", i, got)
 		}
 	}
-	cur, err := sys.HuntCursor(`proc p read file f as e1
+	cur, err := huntCursor(sys, `proc p read file f as e1
 return p, f`)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ return p, f`},
 				}
 
 				// Quiet point: open the cursor, then fix the expectation.
-				cur, err := sys.HuntCursor(q.tbql)
+				cur, err := huntCursor(sys, q.tbql)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -27,6 +27,15 @@ func leakageSystem(t testing.TB, opts Options, benign int) (*System, *gen.Worklo
 	return sys, w
 }
 
+// huntCursor parses src and opens a cursor over it.
+func huntCursor(sys *System, src string) (*Cursor, error) {
+	q, err := sys.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	return sys.HuntQueryCursor(q)
+}
+
 func TestEndToEndFig2(t *testing.T) {
 	sys, _ := leakageSystem(t, Options{}, 2000)
 	q, res, err := sys.HuntReport(extract.Fig2Text, nil)
